@@ -450,20 +450,7 @@ fn bench_open_loop(c: &mut Criterion) {
             sweep.collapse_rps.unwrap_or(max_offered).round() as u64,
         )),
     );
-    let peak = sweep
-        .points
-        .iter()
-        .map(|p| p.achieved_rps)
-        .fold(0.0_f64, f64::max);
-    let healthy = sweep
-        .points
-        .iter()
-        .min_by(|a, b| {
-            let da = (a.achieved_rps - 0.7 * peak).abs();
-            let db = (b.achieved_rps - 0.7 * peak).abs();
-            da.partial_cmp(&db).unwrap()
-        })
-        .expect("sweep has points");
+    let healthy = &sweep.points[sweep.healthy.expect("sweep has points")];
     let to_s = |cycles: u64| cycles as f64 / MODELED_CYCLES_PER_SEC;
     group.report_stats(
         "open_loop_p99_70",
@@ -501,7 +488,7 @@ fn bench_fleet(c: &mut Criterion) {
     use pim_fault::HostFaultPlan;
     use pim_fleet::{Fleet, FleetConfig};
     use pim_loadgen::{
-        run_fleet, ArrivalProfile, ClassSpec, LoadgenConfig, RequestShape, MODELED_CYCLES_PER_SEC,
+        run, ArrivalProfile, ClassSpec, LoadgenConfig, RequestShape, MODELED_CYCLES_PER_SEC,
     };
 
     let fleet = Fleet::new(FleetConfig {
@@ -537,7 +524,7 @@ fn bench_fleet(c: &mut Criterion) {
         latency_target_cycles: 0,
         drain: true,
     };
-    let report = run_fleet(&fleet, &cfg).unwrap();
+    let report = run(&fleet, &cfg).unwrap();
     assert_eq!(report.fleet.failovers, 1, "leader-kill schedule must fire");
     assert_eq!(report.fleet.leader_changes, 1);
     assert_eq!(report.completed + report.failed, report.injected);

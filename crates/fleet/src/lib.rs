@@ -722,23 +722,6 @@ impl FleetSession {
         self.fleet.generation_of(self.slot)
     }
 
-    /// Forces the session onto the least-loaded eligible host, bumping
-    /// its generation. External drivers call this after a transient
-    /// placement failure (the path [`run`](FleetSession::run) takes
-    /// internally); in-flight work submitted against the old placement
-    /// becomes stale.
-    pub fn migrate(&self) {
-        self.fleet.replace_session(self.slot);
-    }
-
-    /// The current host client, or `None` once the session was evicted
-    /// (no live host left to re-place it on). Load drivers use this to
-    /// build per-placement state; anything submitted through it is
-    /// subject to the same staleness rules as [`run`](FleetSession::run).
-    pub fn client(&self) -> Option<Arc<ClusterClient>> {
-        self.fleet.client_of(self.slot).map(|(c, _)| c)
-    }
-
     /// Runs one request against the session's current placement,
     /// re-issuing it on failover until it completes against a placement
     /// that is still current.
@@ -749,12 +732,17 @@ impl FleetSession {
     /// session of a different host. A result that arrives from a
     /// placement the fleet has since failed over is *discarded* — even a
     /// successful one, since its session died mid-flight — and the
-    /// request re-issued; `fleet.reissued` counts each discard.
+    /// request re-issued; so is a [`ErrorClass::Transient`] failure, after
+    /// moving the session off the placement that produced it.
+    /// `fleet.reissued` counts each re-issue. Per-placement state an
+    /// attempt caches (e.g. a replay template) can key on
+    /// [`generation`](FleetSession::generation), which moves with the
+    /// placement.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Evicted`] when no live host is left (or the
-    /// re-issue budget is exhausted), and otherwise surfaces the
+    /// Returns [`CoreError::Evicted`] when no live host is left or the
+    /// re-issue budget (8) is exhausted, and otherwise surfaces the
     /// attempt's own error classes unchanged — a typed error, never a
     /// hang.
     pub async fn run<T, F>(&self, mut attempt: F) -> Result<T>
@@ -769,26 +757,22 @@ impl FleetSession {
             };
             let result = attempt(&client).await;
             self.fleet.tick_now();
-            if self.fleet.generation_of(self.slot) != generation {
-                // The placement died (or moved) while the attempt was in
-                // flight: whatever it produced is from a dead session.
-                self.fleet.inner.reissued.inc();
-                reissues += 1;
-                if reissues > MAX_REISSUES {
-                    return Err(CoreError::Evicted { session: self.slot });
-                }
-                continue;
+            // A stale placement died (or moved) while the attempt was in
+            // flight, so whatever it produced is from a dead session. A
+            // transient error means the host's gateway exhausted its own
+            // retry budget: treat the placement as bad.
+            let stale = self.fleet.generation_of(self.slot) != generation;
+            let transient = matches!(&result, Err(e) if e.class() == ErrorClass::Transient);
+            if !stale && !transient {
+                return result;
             }
-            match result {
-                Err(e) if e.class() == ErrorClass::Transient && reissues < MAX_REISSUES => {
-                    // The host's gateway exhausted its own retry budget:
-                    // treat the placement as bad and move the session.
-                    self.fleet.inner.reissued.inc();
-                    reissues += 1;
-                    self.fleet.replace_session(self.slot);
-                    continue;
-                }
-                other => return other,
+            if reissues == MAX_REISSUES {
+                return Err(CoreError::Evicted { session: self.slot });
+            }
+            reissues += 1;
+            self.fleet.inner.reissued.inc();
+            if !stale {
+                self.fleet.replace_session(self.slot);
             }
         }
     }
@@ -867,6 +851,52 @@ mod tests {
                 .unwrap();
         assert_eq!(got, expect(16, 1.5));
         assert_eq!(fleet.stats().reissued, 0);
+    }
+
+    fn worker_crash() -> CoreError {
+        CoreError::Cluster(pim_cluster::ClusterError::WorkerCrashed { shard: 0 })
+    }
+
+    #[test]
+    fn transient_failure_moves_the_session_and_retries() {
+        let fleet = Fleet::new(tiny(2)).unwrap();
+        let session = fleet.session().unwrap();
+        let (host0, gen0) = (fleet.host_of(session.id()), session.generation());
+        let mut attempts = 0;
+        let got = block_on(session.run(|client| {
+            attempts += 1;
+            let fail = attempts == 1;
+            Box::pin(async move {
+                if fail {
+                    return Err(worker_crash());
+                }
+                request(client, 8, 3.0).await
+            })
+        }))
+        .unwrap();
+        assert_eq!(got, expect(8, 3.0));
+        assert_eq!(attempts, 2);
+        assert_ne!(fleet.host_of(session.id()), host0, "session moved");
+        assert!(session.generation() > gen0, "move bumps the generation");
+        assert_eq!(fleet.stats().reissued, 1);
+    }
+
+    #[test]
+    fn persistent_transient_failure_ends_evicted() {
+        let fleet = Fleet::new(tiny(2)).unwrap();
+        let session = fleet.session().unwrap();
+        let mut attempts = 0;
+        let err = block_on(session.run(|_| {
+            attempts += 1;
+            Box::pin(async { Err::<(), _>(worker_crash()) })
+        }))
+        .unwrap_err();
+        assert!(
+            matches!(err, CoreError::Evicted { session: s } if s == session.id()),
+            "{err:?}"
+        );
+        assert_eq!(fleet.stats().reissued, u64::from(MAX_REISSUES));
+        assert_eq!(attempts, MAX_REISSUES + 1);
     }
 
     #[test]

@@ -1,31 +1,32 @@
 //! The open-loop driver: injects requests at their scheduled modeled
 //! cycles regardless of completion, polls the in-flight set from one host
 //! thread, and closes windowed samples as the modeled clock crosses
-//! window boundaries.
+//! window boundaries. One loop serves every [`Target`]: a gateway or a
+//! fleet.
 //!
 //! **Open loop** means arrival times come from the schedule, not from
-//! completions: when the gateway falls behind, requests keep arriving and
+//! completions: when the target falls behind, requests keep arriving and
 //! queue — which is exactly the overload behaviour (diverging queue-wait
 //! tails) a closed-loop harness structurally cannot produce, because it
 //! never offers more than `in-flight × 1/latency`.
 //!
-//! **Determinism**: on a single-chip device the whole run executes inline
+//! **Determinism**: on single-chip hosts the whole run executes inline
 //! on this thread — futures resolve during their poll, the modeled clock
-//! advances only through execution and the driver's idle jumps, and the
-//! schedule is materialized from the seed up front. The same seed
-//! therefore produces bit-identical reports. Multi-chip clusters execute
-//! on worker threads; their reports are statistically stable but not
-//! bit-reproducible.
+//! advances only through execution, the fleet's control plane and the
+//! driver's idle jumps, and the schedule is materialized from the seed up
+//! front. The same seed (and fault schedule) therefore produces
+//! bit-identical reports. Multi-chip clusters execute on worker threads;
+//! their reports are statistically stable but not bit-reproducible.
 
 use crate::profile::{build_schedule, ArrivalProfile};
-use crate::shape::{RequestShape, Template};
-use pim_serve::{ClusterClient, ExecFuture, Gateway};
-use pim_telemetry::{CounterHandle, HistogramSnapshot, Telemetry, WindowSample, WindowSampler};
-use pypim_core::{CoreError, Device, Result};
-use std::future::Future;
-use std::pin::Pin;
-use std::sync::{Condvar, Mutex};
+use crate::shape::RequestShape;
+use crate::target::{Completion, Target};
+use pim_fleet::FleetStats;
+use pim_telemetry::{HistogramSnapshot, HistogramState, WindowSample, WindowSampler};
+use pypim_core::{CoreError, Result};
+use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
+use std::thread::{self, Thread};
 use std::time::Duration;
 
 /// Modeled cycles per modeled second in every `*_rps` figure — the trace
@@ -75,8 +76,8 @@ pub struct LoadgenConfig {
     pub window_cycles: u64,
     /// Traffic classes (session pools and templates are per class).
     pub classes: Vec<ClassSpec>,
-    /// Gateway sessions per class; arrivals round-robin across them by
-    /// sequence number.
+    /// Sessions per class; arrivals round-robin across them by sequence
+    /// number.
     pub sessions_per_class: usize,
     /// Latency SLO target in modeled cycles; completions above it count
     /// into the `loadgen.over_target` counter. `0` disables.
@@ -121,8 +122,13 @@ impl LoadgenConfig {
     }
 }
 
-/// What one open-loop run produced: totals, final latency summaries, and
-/// the windowed time series.
+/// What one open-loop run produced: totals, final latency summaries, the
+/// control-plane activity the run provoked, and the windowed time series.
+///
+/// Fields a target cannot fill read zero: a gateway has no control plane
+/// (`reissued`, `failover_cycles` and `fleet` stay zero), and a fleet
+/// keeps its queue waits in per-host namespaces (`queue_wait` stays
+/// zero).
 #[derive(Debug, Clone)]
 pub struct RunReport {
     /// Seed the schedule was generated from.
@@ -134,17 +140,21 @@ pub struct RunReport {
     /// Requests injected (== scheduled arrivals).
     pub injected: u64,
     /// Requests that resolved successfully (including after the horizon,
-    /// during drain).
+    /// during drain; on a fleet, against a still-current placement).
     pub completed: u64,
     /// Successful completions whose completion cycle was within the
     /// horizon — the numerator of `achieved_rps`.
     pub completed_in_horizon: u64,
     /// Requests that resolved with an error (admission rejections under a
-    /// bounded queue, deadline misses, shard faults).
+    /// bounded queue, deadline misses, shard faults, evicted fleet
+    /// sessions) — never hangs.
     pub failed: u64,
     /// Successful completions above
     /// [`latency_target_cycles`](LoadgenConfig::latency_target_cycles).
     pub over_target: u64,
+    /// Fleet request attempts discarded and issued again (stale
+    /// generation after a failover, or a transient placement failure).
+    pub reissued: u64,
     /// Modeled cycle the run ended at.
     pub end_cycle: u64,
     /// Offered load: injected per modeled second of horizon.
@@ -152,10 +162,16 @@ pub struct RunReport {
     /// Achieved goodput: in-horizon completions per modeled second.
     pub achieved_rps: f64,
     /// End-to-end latency (completion − *scheduled* arrival, so queueing
-    /// incurred before admission is included), whole run.
+    /// before admission and fleet failover delay are included), whole
+    /// run.
     pub latency: HistogramSnapshot,
     /// Gateway queue wait (admission → submission), whole run.
     pub queue_wait: HistogramSnapshot,
+    /// Fleet failover detection latency (`fleet.failover_cycles`), whole
+    /// run.
+    pub failover_cycles: HistogramSnapshot,
+    /// Fleet control-plane counter deltas over the run.
+    pub fleet: FleetStats,
     /// The windowed time series (counters are per-window deltas).
     pub windows: Vec<WindowSample>,
 }
@@ -170,131 +186,62 @@ impl RunReport {
     }
 }
 
-/// The condvar parker doubling as the polling loop's waker: shard workers
-/// wake it through the futures' registered wakers; the driver parks with
-/// a short timeout so a missed wake only costs the timeout.
-pub(crate) struct Parker {
-    flag: Mutex<bool>,
-    cv: Condvar,
-}
+/// The polling loop's waker: shard workers unpark the driving thread
+/// through the futures' registered wakers; the driver parks with a short
+/// timeout so a missed wake only costs the timeout.
+struct Unparker(Thread);
 
-impl Parker {
-    pub(crate) fn new() -> Self {
-        Parker {
-            flag: Mutex::new(false),
-            cv: Condvar::new(),
-        }
-    }
-
-    pub(crate) fn park_timeout(&self, dur: Duration) {
-        let mut notified = self.flag.lock().unwrap_or_else(|e| e.into_inner());
-        if !*notified {
-            let (guard, _) = self
-                .cv
-                .wait_timeout(notified, dur)
-                .unwrap_or_else(|e| e.into_inner());
-            notified = guard;
-        }
-        *notified = false;
+impl Wake for Unparker {
+    fn wake(self: Arc<Self>) {
+        self.0.unpark();
     }
 }
 
-impl Wake for Parker {
-    fn wake(self: std::sync::Arc<Self>) {
-        let mut notified = self.flag.lock().unwrap_or_else(|e| e.into_inner());
-        *notified = true;
-        self.cv.notify_one();
-    }
-}
-
-struct Pending {
-    fut: ExecFuture,
-    scheduled: u64,
-}
-
-/// Re-disarms telemetry on drop when the harness armed it (execution only
-/// charges the modeled clock while telemetry records, so an open-loop run
-/// needs it on; a caller that had it off gets it back off even on error
-/// paths).
-struct EnabledGuard<'a> {
-    telemetry: &'a Telemetry,
+/// Restores the target's recording state on drop (the run needs it on so
+/// execution charges the modeled clock; a caller that had it off gets it
+/// back off even on error paths).
+struct Armed<'a, T: Target> {
+    target: &'a T,
     prev: bool,
 }
 
-impl Drop for EnabledGuard<'_> {
+impl<T: Target> Drop for Armed<'_, T> {
     fn drop(&mut self) {
-        self.telemetry.set_enabled(self.prev);
+        self.target.set_recording(self.prev);
     }
 }
 
-/// Per-window observability flushed at each window close: gauge counter
-/// tracks plus per-shard utilization derived from profiler cycle deltas.
-struct TrackSet {
-    telemetry: Telemetry,
-    queue_depth: CounterHandle,
-    in_flight: CounterHandle,
-    shard_util: Vec<CounterHandle>,
-    prev_shard_cycles: Vec<u64>,
-}
+/// Histograms a run summarizes and windows; one the target does not
+/// register reads zero.
+const WATCHED: [&str; 3] = [
+    "loadgen.latency_cycles",
+    "serve.queue_wait_cycles",
+    "fleet.failover_cycles",
+];
 
-impl TrackSet {
-    fn new(telemetry: &Telemetry) -> Self {
-        TrackSet {
-            telemetry: telemetry.clone(),
-            queue_depth: telemetry.counter_track("serve/queue_depth"),
-            in_flight: telemetry.counter_track("serve/in_flight"),
-            shard_util: Vec::new(),
-            prev_shard_cycles: Vec::new(),
-        }
-    }
-
-    fn flush(&mut self, dev: &Device, at: u64, window_width: u64) -> Result<()> {
-        if !self.telemetry.is_enabled() {
-            return Ok(());
-        }
-        let metrics = self.telemetry.metrics();
-        self.queue_depth
-            .record(at, metrics.gauge("serve.queue_depth").get() as f64);
-        self.in_flight
-            .record(at, metrics.gauge("serve.in_flight").get() as f64);
-        if let Some(stats) = dev.cluster_stats()? {
-            if self.shard_util.is_empty() {
-                for s in &stats.shards {
-                    self.shard_util.push(
-                        self.telemetry
-                            .counter_track(&format!("shard{}/util", s.shard)),
-                    );
-                    self.prev_shard_cycles.push(0);
-                }
-            }
-            for (i, s) in stats.shards.iter().enumerate() {
-                let delta = s.profiler.cycles.saturating_sub(self.prev_shard_cycles[i]);
-                self.prev_shard_cycles[i] = s.profiler.cycles;
-                let util = 100.0 * delta as f64 / window_width.max(1) as f64;
-                self.shard_util[i].record(at, util);
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Runs one open-loop load against `gateway` (see the module docs for the
-/// loop's semantics and determinism guarantees).
+/// Runs one open-loop load against `target` — a
+/// [`Gateway`](pim_serve::Gateway) or a [`Fleet`](pim_fleet::Fleet) (see
+/// the module docs for the loop's semantics and determinism guarantees).
 ///
-/// Overload studies should build the gateway with
+/// Overload studies should build the gateway (or the fleet's hosts) with
 /// `max_queue_depth: 0` (unbounded session queues): with the default
 /// bounded queues, offered load beyond the bound fast-fails with
 /// `Overloaded` instead of queueing, and the run measures admission-loss
 /// rather than queueing collapse.
 ///
+/// On a fleet a request re-issued after a failover keeps its *original*
+/// scheduled cycle, so measured latency includes failover detection and
+/// re-placement.
+///
 /// # Errors
 ///
-/// Fails on an empty/zero config, on session or template setup errors
-/// (e.g. warp space too small for `classes × sessions_per_class`
-/// windows), or if a stats snapshot fails mid-run. Individual request
-/// failures do **not** fail the run — they count into
-/// [`RunReport::failed`].
-pub fn run(gateway: &Gateway, cfg: &LoadgenConfig) -> Result<RunReport> {
+/// Fails with [`CoreError::Protocol`] on an empty/zero config; fails on
+/// session or template setup errors (e.g. warp space too small for
+/// `classes × sessions_per_class` windows), or if a stats snapshot fails
+/// mid-run. Individual request failures do **not** fail the run — they
+/// count into [`RunReport::failed`]. That includes a fleet's template
+/// errors, since a template binds at each placement's first attempt.
+pub fn run<T: Target>(target: &T, cfg: &LoadgenConfig) -> Result<RunReport> {
     let invalid = |reason: &str| CoreError::Protocol {
         reason: format!("loadgen config: {reason}"),
     };
@@ -308,26 +255,25 @@ pub fn run(gateway: &Gateway, cfg: &LoadgenConfig) -> Result<RunReport> {
         return Err(invalid("horizon_cycles and window_cycles must be nonzero"));
     }
 
-    // Session pools and replay templates, one pool per class. Building
-    // templates allocates every tensor the run will touch; injection
-    // itself only clones instruction vectors.
-    let mut pools: Vec<Vec<(ClusterClient, Template)>> = Vec::with_capacity(cfg.classes.len());
-    for class in &cfg.classes {
-        let mut pool = Vec::with_capacity(cfg.sessions_per_class);
-        for _ in 0..cfg.sessions_per_class {
-            let client = gateway.session()?;
-            let template = Template::build(&client, class.shape, class.elems)?;
-            pool.push((client, template));
-        }
-        pools.push(pool);
-    }
-    let dev = pools[0][0].0.device().clone();
-    let telemetry = dev.telemetry().clone();
-    let _armed = EnabledGuard {
-        telemetry: &telemetry,
+    let telemetry = target.telemetry().clone();
+    let _armed = Armed {
+        target,
         prev: telemetry.is_enabled(),
     };
-    telemetry.set_enabled(true);
+    target.set_recording(true);
+
+    // Session pools, one per class. Building templates allocates every
+    // tensor the run will touch; injection itself only clones
+    // instruction vectors.
+    let pools = cfg
+        .classes
+        .iter()
+        .map(|class| {
+            (0..cfg.sessions_per_class)
+                .map(|_| target.open(class))
+                .collect::<Result<Vec<_>>>()
+        })
+        .collect::<Result<Vec<_>>>()?;
 
     let profiles: Vec<ArrivalProfile> = cfg.classes.iter().map(|c| c.profile).collect();
     let schedule = build_schedule(&profiles, cfg.seed, cfg.horizon_cycles);
@@ -338,52 +284,78 @@ pub fn run(gateway: &Gateway, cfg: &LoadgenConfig) -> Result<RunReport> {
     let failed_c = metrics.counter("loadgen.failed");
     let over_target_c = metrics.counter("loadgen.over_target");
     let latency_h = metrics.histogram("loadgen.latency_cycles");
-    let queue_wait_h = metrics.histogram("serve.queue_wait_cycles");
-    let base_latency = latency_h.state();
-    let base_queue_wait = queue_wait_h.state();
+    let base = target.metrics_snapshot()?;
 
     let mut sampler = WindowSampler::new(cfg.window_cycles);
-    sampler.watch_histogram("loadgen.latency_cycles", &latency_h);
-    sampler.watch_histogram("serve.queue_wait_cycles", &queue_wait_h);
-    let mut tracks = TrackSet::new(&telemetry);
+    let watched: Vec<_> = WATCHED
+        .iter()
+        .filter(|&&name| base.histograms.contains_key(name))
+        .map(|&name| {
+            let h = metrics.histogram(name);
+            sampler.watch_histogram(name, &h);
+            (name, h.state(), h)
+        })
+        .collect();
+    let mut tracks = target.tracks();
 
-    let parker = std::sync::Arc::new(Parker::new());
-    let waker = Waker::from(parker.clone());
+    let waker = Waker::from(Arc::new(Unparker(thread::current())));
     let mut cx = Context::from_waker(&waker);
 
-    let start = telemetry.now();
+    let start = target.step();
     let horizon_end = start + cfg.horizon_cycles;
-    let mut pending: Vec<Pending> = Vec::new();
+    let mut pending: Vec<(Completion<'_>, u64)> = Vec::new();
     let mut next = 0usize;
     let (mut injected, mut completed, mut completed_in_horizon, mut failed, mut over_target) =
         (0u64, 0u64, 0u64, 0u64, 0u64);
+    let mut settle = |res: Result<Option<u64>>, scheduled: u64| match res {
+        Ok(done_at) => {
+            // The batch's completion stamp, not the clock at poll time:
+            // one pump can drain many groups before this sweep resumes,
+            // and the clock has then moved past all of them.
+            let done_at = done_at.unwrap_or_else(|| telemetry.now());
+            let lat = done_at.saturating_sub(scheduled);
+            latency_h.record(lat);
+            completed += 1;
+            completed_c.inc();
+            if done_at <= horizon_end {
+                completed_in_horizon += 1;
+            }
+            if cfg.latency_target_cycles > 0 && lat > cfg.latency_target_cycles {
+                over_target += 1;
+                over_target_c.inc();
+            }
+        }
+        Err(_) => {
+            failed += 1;
+            failed_c.inc();
+        }
+    };
 
     loop {
-        let now = telemetry.now();
+        let now = target.step();
 
         // Inject every arrival due by the current modeled time. Late
         // injection (now past the scheduled cycle because execution
         // advanced the clock in a jump) is correct open-loop accounting:
         // latency is measured from the *scheduled* cycle, so time spent
         // waiting for the driver to reach the arrival is queueing delay.
+        // The first poll admits the request without executing it.
         while next < schedule.len() && start + schedule[next].cycle <= now {
             let a = schedule[next];
             next += 1;
-            let (client, template) = &pools[a.class][a.seq as usize % cfg.sessions_per_class];
-            let fut = client.submit(template.instrs.clone());
             injected += 1;
             injected_c.inc();
-            pending.push(Pending {
-                fut,
-                scheduled: start + a.cycle,
-            });
+            let mut fut = target.issue(&pools[a.class][a.seq as usize % cfg.sessions_per_class]);
+            match fut.as_mut().poll(&mut cx) {
+                Poll::Ready(res) => settle(res, start + a.cycle),
+                Poll::Pending => pending.push((fut, start + a.cycle)),
+            }
         }
 
         // Close windows as the clock crosses boundaries.
         if sampler.ready(now) {
-            let width = sampler.window_cycles();
-            sampler.sample(now, dev.metrics_snapshot()?);
-            tracks.flush(&dev, now, width)?;
+            sampler.sample(now, target.metrics_snapshot()?);
+            tracks(now, cfg.window_cycles)?;
         }
 
         if pending.is_empty() {
@@ -404,58 +376,49 @@ pub fn run(gateway: &Gateway, cfg: &LoadgenConfig) -> Result<RunReport> {
             break; // Abandon outstanding work: saturated sweep points end.
         }
 
-        // Poll the in-flight set in admission order. On a single chip
-        // each poll executes queued groups inline, so this sweep both
-        // advances the modeled clock and retires requests.
+        // Poll the in-flight set. On single-chip hosts each poll executes
+        // queued groups inline, so this sweep both advances the modeled
+        // clock and retires requests.
         let mut progressed = false;
-        pending.retain_mut(|p| match Pin::new(&mut p.fut).poll(&mut cx) {
-            Poll::Pending => true,
-            Poll::Ready(res) => {
-                progressed = true;
-                // The slot's completion stamp, not the clock at poll
-                // time: one pump can drain many groups before this sweep
-                // resumes, and the clock has then moved past all of them.
-                let done_at = p.fut.completed_at().unwrap_or_else(|| telemetry.now());
-                let lat = done_at.saturating_sub(p.scheduled);
-                match res {
-                    Ok(()) => {
-                        latency_h.record(lat);
-                        completed += 1;
-                        completed_c.inc();
-                        if done_at <= horizon_end {
-                            completed_in_horizon += 1;
-                        }
-                        if cfg.latency_target_cycles > 0 && lat > cfg.latency_target_cycles {
-                            over_target += 1;
-                            over_target_c.inc();
-                        }
-                    }
-                    Err(_) => {
-                        failed += 1;
-                        failed_c.inc();
-                    }
+        let mut i = 0;
+        while i < pending.len() {
+            match pending[i].0.as_mut().poll(&mut cx) {
+                Poll::Pending => i += 1,
+                Poll::Ready(res) => {
+                    progressed = true;
+                    let (_, scheduled) = pending.swap_remove(i);
+                    settle(res, scheduled);
                 }
-                false
             }
-        });
+        }
 
         if !progressed {
             // Cluster-only path: work is on shard threads and nothing
             // retired this sweep. Park until a completion wakes us (or a
             // short timeout guards against a missed wake).
-            parker.park_timeout(Duration::from_micros(200));
+            thread::park_timeout(Duration::from_micros(200));
         }
     }
 
     // Close the partial tail window so the series covers the whole run.
-    let end_cycle = telemetry.now();
+    let end_cycle = target.step();
     let tail_start = sampler.last().map_or(start, |w| w.end);
     if end_cycle > tail_start {
-        let width = sampler.window_cycles();
-        sampler.sample(end_cycle, dev.metrics_snapshot()?);
-        tracks.flush(&dev, end_cycle, width)?;
+        sampler.sample(end_cycle, target.metrics_snapshot()?);
+        tracks(end_cycle, cfg.window_cycles)?;
     }
 
+    let delta = target.metrics_snapshot()?.since(&base);
+    let count = |name: &str| delta.counters.get(name).copied().unwrap_or(0);
+    let summary = |name: &str| {
+        watched
+            .iter()
+            .find(|w| w.0 == name)
+            .map_or(HistogramState::empty(), |(_, base, h)| {
+                h.state().since(base)
+            })
+            .summary()
+    };
     let horizon_secs = cfg.horizon_cycles as f64 / MODELED_CYCLES_PER_SEC;
     Ok(RunReport {
         seed: cfg.seed,
@@ -466,11 +429,21 @@ pub fn run(gateway: &Gateway, cfg: &LoadgenConfig) -> Result<RunReport> {
         completed_in_horizon,
         failed,
         over_target,
+        reissued: count("fleet.reissued"),
         end_cycle,
         offered_rps: injected as f64 / horizon_secs,
         achieved_rps: completed_in_horizon as f64 / horizon_secs,
-        latency: latency_h.state().since(&base_latency).summary(),
-        queue_wait: queue_wait_h.state().since(&base_queue_wait).summary(),
+        latency: summary("loadgen.latency_cycles"),
+        queue_wait: summary("serve.queue_wait_cycles"),
+        failover_cycles: summary("fleet.failover_cycles"),
+        fleet: FleetStats {
+            leader_changes: count("fleet.leader_changes"),
+            failovers: count("fleet.failovers"),
+            orphaned_sessions: count("fleet.orphaned_sessions"),
+            reissued: count("fleet.reissued"),
+            heartbeats: count("fleet.heartbeats"),
+            sessions: count("fleet.sessions"),
+        },
         windows: sampler.samples().cloned().collect(),
     })
 }

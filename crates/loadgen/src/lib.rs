@@ -1,47 +1,47 @@
 //! # pim-loadgen
 //!
-//! An **open-loop traffic harness** for the serving gateway, on the
+//! An **open-loop traffic harness** for the serving stack, on the
 //! modeled clock: seeded arrival schedules (Poisson / burst / ramp) drive
-//! requests into [`pim_serve::Gateway`] sessions at their scheduled
-//! modeled cycles *whether or not earlier requests finished*, so overload
-//! actually queues — the behaviour a closed loop (fixed in-flight count,
-//! inject-on-completion) structurally cannot produce, because a closed
-//! loop's offered load self-throttles to `in-flight / latency`.
+//! requests into [`pim_serve::Gateway`] or [`pim_fleet::Fleet`] sessions
+//! at their scheduled modeled cycles *whether or not earlier requests
+//! finished*, so overload actually queues — the behaviour a closed loop
+//! (fixed in-flight count, inject-on-completion) structurally cannot
+//! produce, because its offered load self-throttles to
+//! `in-flight / latency`.
 //!
 //! The harness produces three artifacts per run:
 //!
-//! * a [`RunReport`] — totals, whole-run latency/queue-wait summaries,
-//!   and the windowed time series ([`pim_telemetry::WindowSample`]s:
-//!   per-window throughput, queue depth, in-flight, retries, and real
-//!   windowed p50/p99/p999);
+//! * a [`RunReport`] ([`run`]) — totals, whole-run latency/queue-wait
+//!   summaries, the fleet control-plane activity (elections, failovers,
+//!   re-issues), and the windowed time series
+//!   ([`pim_telemetry::WindowSample`]s: per-window throughput, queue
+//!   depth, in-flight, retries, and real windowed p50/p99/p999);
 //! * an [`SloReport`] ([`run_slo`]) — per-window error-budget burn
 //!   against a latency target, as stable machine-readable JSON;
 //! * Perfetto counter tracks (queue depth, in-flight, per-shard
-//!   utilization) recorded into the device's [`pim_telemetry::Telemetry`]
-//!   at window boundaries, rendered by `export_chrome_trace`.
+//!   utilization; live hosts on a fleet) recorded into the target's
+//!   [`pim_telemetry::Telemetry`] at window boundaries, rendered by
+//!   `export_chrome_trace`.
 //!
 //! [`latency_vs_load`] sweeps arrival-rate multipliers across fresh
-//! gateways and derives the **knee** (highest offered load with ≥ 95%
+//! targets and derives the **knee** (highest offered load with ≥ 95%
 //! goodput), the **collapse point** (lowest offered load whose windowed
 //! queue-wait p99 diverges), and the p99 at the ~70%-of-peak healthy
 //! operating point — the `open_loop_*` rows of `BENCH_serve.json`.
 //!
-//! [`run_fleet`] drives the same open loop against a multi-host
-//! [`pim_fleet::Fleet`]: sessions are fleet placements that move on
-//! failover, stale completions are discarded and re-issued against the
-//! new placement, and the report carries the control-plane activity
-//! (elections, failovers, re-issues) the fault schedule provoked.
-//! [`latency_vs_load_fleet`] sweeps it — the `fleet_*` rows of
-//! `BENCH_serve.json`.
+//! One driver serves both targets. On a fleet each request runs through
+//! [`pim_fleet::FleetSession::run`]: sessions are placements that move on
+//! failover, and a stale completion is discarded and re-issued against
+//! the new placement — the `fleet_*` rows of `BENCH_serve.json`.
 //!
 //! ## Determinism
 //!
 //! Arrival schedules are materialized from the seed before the run
-//! starts, and on a **single-chip** device every future resolves inline
-//! on the driving thread, so the same seed produces bit-identical
-//! reports (including the SLO JSON). Multi-chip clusters execute on
-//! worker threads: reports there are statistically stable, not
-//! bit-reproducible.
+//! starts, and on **single-chip** hosts every future resolves inline on
+//! the driving thread, so the same seed (and host fault schedule)
+//! produces bit-identical reports (including the SLO JSON). Multi-chip
+//! clusters execute on worker threads: reports there are statistically
+//! stable, not bit-reproducible.
 //!
 //! ## Zero cost when unused
 //!
@@ -87,15 +87,12 @@
 //! ```
 
 mod driver;
-mod fleet;
 mod profile;
 mod shape;
 mod slo;
+mod target;
 
 pub use driver::{run, ClassSpec, LoadgenConfig, RunReport, MODELED_CYCLES_PER_SEC};
-pub use fleet::{
-    latency_vs_load_fleet, run_fleet, FleetRunReport, FleetSweepPoint, FleetSweepReport,
-};
 pub use profile::{build_schedule, Arrival, ArrivalProfile};
 pub use shape::{RequestShape, Template};
 pub use slo::{latency_vs_load, run_slo, SloConfig, SloReport, SweepPoint, SweepReport, WindowSlo};
@@ -104,8 +101,10 @@ pub use slo::{latency_vs_load, run_slo, SloConfig, SloReport, SweepPoint, SweepR
 mod tests {
     use super::*;
     use pim_arch::PimConfig;
+    use pim_fault::HostFaultPlan;
+    use pim_fleet::{Fleet, FleetConfig};
     use pim_serve::{DeviceServeExt, ServeConfig};
-    use pypim_core::{Device, Result};
+    use pypim_core::{CoreError, Device, Result};
 
     fn small_cfg() -> LoadgenConfig {
         LoadgenConfig {
@@ -177,8 +176,8 @@ mod tests {
         Ok(())
     }
 
-    fn fleet_cfg(fault: pim_fault::HostFaultPlan) -> pim_fleet::FleetConfig {
-        pim_fleet::FleetConfig {
+    fn two_host_fleet(fault: HostFaultPlan) -> Result<Fleet> {
+        Fleet::new(FleetConfig {
             hosts: 2,
             chip: PimConfig::small().with_crossbars(8),
             serve: ServeConfig {
@@ -186,14 +185,14 @@ mod tests {
                 ..ServeConfig::default()
             },
             fault,
-            ..pim_fleet::FleetConfig::default()
-        }
+            ..FleetConfig::default()
+        })
     }
 
     #[test]
     fn fleet_run_fault_free_completes_everything() -> Result<()> {
-        let fleet = pim_fleet::Fleet::new(fleet_cfg(pim_fault::HostFaultPlan::none()))?;
-        let report = run_fleet(&fleet, &small_cfg())?;
+        let fleet = two_host_fleet(HostFaultPlan::none())?;
+        let report = run(&fleet, &small_cfg())?;
         assert!(report.injected > 0);
         assert_eq!(report.completed + report.failed, report.injected);
         assert_eq!(report.failed, 0, "fault-free fleet must not fail requests");
@@ -207,14 +206,8 @@ mod tests {
     #[test]
     fn fleet_run_matches_single_host_totals_and_is_reproducible() -> Result<()> {
         let cfg = small_cfg();
-        let a = run_fleet(
-            &pim_fleet::Fleet::new(fleet_cfg(pim_fault::HostFaultPlan::none()))?,
-            &cfg,
-        )?;
-        let b = run_fleet(
-            &pim_fleet::Fleet::new(fleet_cfg(pim_fault::HostFaultPlan::none()))?,
-            &cfg,
-        )?;
+        let a = run(&two_host_fleet(HostFaultPlan::none())?, &cfg)?;
+        let b = run(&two_host_fleet(HostFaultPlan::none())?, &cfg)?;
         assert_eq!(a.injected, b.injected);
         assert_eq!(
             a.end_cycle, b.end_cycle,
@@ -227,9 +220,8 @@ mod tests {
 
     #[test]
     fn fleet_run_leader_kill_fails_over_and_still_completes() -> Result<()> {
-        let fault = pim_fault::HostFaultPlan::none().crash_at(0, 100_000);
-        let fleet = pim_fleet::Fleet::new(fleet_cfg(fault))?;
-        let report = run_fleet(&fleet, &small_cfg())?;
+        let fleet = two_host_fleet(HostFaultPlan::none().crash_at(0, 100_000))?;
+        let report = run(&fleet, &small_cfg())?;
         assert_eq!(report.fleet.failovers, 1, "one crash, one failover");
         assert_eq!(
             report.fleet.leader_changes, 1,
@@ -247,28 +239,6 @@ mod tests {
     }
 
     #[test]
-    fn fleet_sweep_reports_degraded_knee() -> Result<()> {
-        let mut base = small_cfg();
-        base.horizon_cycles = 150_000;
-        base.window_cycles = 30_000;
-        base.drain = false;
-        let sweep = latency_vs_load_fleet(
-            || {
-                pim_fleet::Fleet::new(fleet_cfg(
-                    pim_fault::HostFaultPlan::none().crash_at(0, 50_000),
-                ))
-            },
-            &base,
-            &[0.5, 1.0],
-        )?;
-        assert_eq!(sweep.points.len(), 2);
-        assert!(sweep.knee_rps > 0.0);
-        assert!(sweep.points.iter().all(|p| p.failovers == 1));
-        assert!(sweep.failover_p99_cycles > 0);
-        Ok(())
-    }
-
-    #[test]
     fn sweep_derives_knee_and_collapse_fields() -> Result<()> {
         let mut base = small_cfg();
         base.horizon_cycles = 150_000;
@@ -282,10 +252,71 @@ mod tests {
         )?;
         assert_eq!(sweep.points.len(), 2);
         assert!(sweep.knee_rps > 0.0);
+        assert!(sweep.healthy.is_some_and(|i| i < sweep.points.len()));
         let json = sweep.to_json();
         assert!(json.contains("\"knee_rps\""), "{json}");
         assert!(json.contains("\"collapse_rps\""), "{json}");
         assert!(json.contains("\"p99_at_70pct_cycles\""), "{json}");
+        Ok(())
+    }
+
+    #[test]
+    fn fleet_sweep_reports_degraded_knee() -> Result<()> {
+        let mut base = small_cfg();
+        base.horizon_cycles = 150_000;
+        base.window_cycles = 30_000;
+        base.drain = false;
+        let degraded_fleet = || two_host_fleet(HostFaultPlan::none().crash_at(0, 50_000));
+        let factors = [0.5, 1.0];
+        let sweep = latency_vs_load(degraded_fleet, &base, &factors, SloConfig::default())?;
+        assert_eq!(sweep.points.len(), 2);
+        assert!(sweep.knee_rps > 0.0);
+        assert!(sweep.healthy.is_some_and(|i| i < sweep.points.len()));
+        // Every operating point ran through the crash: one failover each,
+        // with a measured detection latency.
+        for factor in factors {
+            let report = run(&degraded_fleet()?, &base.scaled(factor))?;
+            assert_eq!(report.fleet.failovers, 1);
+            assert!(report.failover_cycles.count >= 1);
+            assert!(report.failover_cycles.p99 > 0);
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn invalid_configs_are_rejected_on_both_targets() -> Result<()> {
+        let gateway = single_chip_gateway()?;
+        let fleet = two_host_fleet(HostFaultPlan::none())?;
+        let breakers: [fn(&mut LoadgenConfig); 4] = [
+            |c| c.classes.clear(),
+            |c| c.sessions_per_class = 0,
+            |c| c.horizon_cycles = 0,
+            |c| c.window_cycles = 0,
+        ];
+        for breaker in breakers {
+            let mut cfg = small_cfg();
+            breaker(&mut cfg);
+            for res in [run(&gateway, &cfg), run(&fleet, &cfg)] {
+                assert!(matches!(res, Err(CoreError::Protocol { .. })), "{res:?}");
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn fleet_slo_run_counts_over_target() -> Result<()> {
+        let fleet = two_host_fleet(HostFaultPlan::none())?;
+        let slo = SloConfig {
+            target_p99_cycles: 1,
+            error_budget: 0.01,
+        };
+        let (report, verdict) = run_slo(&fleet, &small_cfg(), slo)?;
+        assert!(report.completed > 0);
+        assert_eq!(report.over_target, report.completed, "every latency > 1");
+        assert_eq!(verdict.over_target, report.over_target);
+        let windowed: u64 = verdict.windows.iter().map(|w| w.over_target).sum();
+        assert_eq!(windowed, report.over_target);
+        assert!(!verdict.met);
         Ok(())
     }
 }

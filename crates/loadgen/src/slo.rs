@@ -8,7 +8,7 @@
 //! same seed.
 
 use crate::driver::{run, LoadgenConfig, RunReport};
-use pim_serve::Gateway;
+use crate::target::Target;
 use pypim_core::Result;
 
 /// The SLO to hold a run against.
@@ -208,20 +208,21 @@ impl SloReport {
     }
 }
 
-/// Runs `cfg` against `gateway` with `slo`'s target as the over-target
-/// threshold and returns both the raw run and its SLO verdict.
+/// Runs `cfg` against `target` (a gateway or a fleet) with `slo`'s
+/// target as the over-target threshold and returns both the raw run and
+/// its SLO verdict.
 ///
 /// # Errors
 ///
 /// As [`run`].
-pub fn run_slo(
-    gateway: &Gateway,
+pub fn run_slo<T: Target>(
+    target: &T,
     cfg: &LoadgenConfig,
     slo: SloConfig,
 ) -> Result<(RunReport, SloReport)> {
     let mut cfg = cfg.clone();
     cfg.latency_target_cycles = slo.target_p99_cycles;
-    let report = run(gateway, &cfg)?;
+    let report = run(target, &cfg)?;
     let slo_report = SloReport::from_run(&report, slo);
     Ok((report, slo_report))
 }
@@ -258,9 +259,10 @@ pub struct SweepReport {
     pub knee_rps: f64,
     /// Lowest offered load that collapsed (`None` if no point did).
     pub collapse_rps: Option<f64>,
-    /// Latency p99 at ~70% of peak achieved load (modeled cycles) — the
-    /// "healthy operating point" latency.
-    pub p99_at_70pct_cycles: u64,
+    /// Index in [`points`](SweepReport::points) of the healthy operating
+    /// point: the one whose achieved load is nearest 70% of the peak
+    /// (`None` for an empty sweep).
+    pub healthy: Option<usize>,
 }
 
 impl SweepReport {
@@ -282,7 +284,7 @@ impl SweepReport {
             self.knee_rps,
             self.collapse_rps
                 .map_or("null".to_string(), |v| format!("{v:.3}")),
-            self.p99_at_70pct_cycles,
+            self.healthy.map_or(0, |i| self.points[i].p99_cycles),
         ));
         out
     }
@@ -306,9 +308,11 @@ fn queue_wait_diverges(report: &RunReport) -> bool {
 }
 
 /// Sweeps offered load across `factors` (each point is `base` with every
-/// arrival rate scaled by the factor, against a **fresh** gateway from
-/// `make_gateway` so points don't share queues), and derives the knee and
-/// collapse summary.
+/// arrival rate scaled by the factor, against a **fresh** gateway or
+/// fleet from `make_target` so points don't share queues or fault
+/// schedules), and derives the knee and collapse summary. On a fleet the
+/// knee is the *degraded* knee under the fault schedule, and collapse is
+/// goodput loss only (queue waits live in per-host namespaces).
 ///
 /// Pass factors in ascending order and wide enough to straddle the knee —
 /// the collapse detection needs at least one overloaded point to find
@@ -317,17 +321,17 @@ fn queue_wait_diverges(report: &RunReport) -> bool {
 /// # Errors
 ///
 /// As [`run`]; the first failing point aborts the sweep.
-pub fn latency_vs_load(
-    mut make_gateway: impl FnMut() -> Result<Gateway>,
+pub fn latency_vs_load<T: Target>(
+    mut make_target: impl FnMut() -> Result<T>,
     base: &LoadgenConfig,
     factors: &[f64],
     slo: SloConfig,
 ) -> Result<SweepReport> {
     let mut points = Vec::with_capacity(factors.len());
     for &factor in factors {
-        let gateway = make_gateway()?;
+        let target = make_target()?;
         let cfg = base.scaled(factor);
-        let (report, slo_report) = run_slo(&gateway, &cfg, slo)?;
+        let (report, slo_report) = run_slo(&target, &cfg, slo)?;
         let goodput = if report.offered_rps > 0.0 {
             report.achieved_rps / report.offered_rps
         } else {
@@ -344,43 +348,36 @@ pub fn latency_vs_load(
         });
     }
 
+    let peak = points
+        .iter()
+        .map(|p| p.achieved_rps)
+        .fold(0.0_f64, f64::max);
     let knee_rps = points
         .iter()
         .filter(|p| p.offered_rps > 0.0 && p.achieved_rps / p.offered_rps >= 0.95)
         .map(|p| p.offered_rps)
         .fold(0.0_f64, f64::max);
-    let knee_rps = if knee_rps > 0.0 {
-        knee_rps
-    } else {
-        points
-            .iter()
-            .map(|p| p.achieved_rps)
-            .fold(0.0_f64, f64::max)
-    };
+    // No point reached 95% goodput: the best achieved load stands in.
+    let knee_rps = if knee_rps > 0.0 { knee_rps } else { peak };
     let collapse_rps = points
         .iter()
         .filter(|p| p.collapsed)
         .map(|p| p.offered_rps)
-        .fold(None, |acc: Option<f64>, v| {
-            Some(acc.map_or(v, |a| a.min(v)))
-        });
-    let peak = points
+        .reduce(f64::min);
+    let healthy = points
         .iter()
-        .map(|p| p.achieved_rps)
-        .fold(0.0_f64, f64::max);
-    let p99_at_70pct_cycles = points
-        .iter()
-        .min_by(|a, b| {
+        .enumerate()
+        .min_by(|(_, a), (_, b)| {
             let da = (a.achieved_rps - 0.7 * peak).abs();
             let db = (b.achieved_rps - 0.7 * peak).abs();
             da.partial_cmp(&db).expect("finite rates")
         })
-        .map_or(0, |p| p.p99_cycles);
+        .map(|(i, _)| i);
 
     Ok(SweepReport {
         points,
         knee_rps,
         collapse_rps,
-        p99_at_70pct_cycles,
+        healthy,
     })
 }

@@ -18,7 +18,7 @@
 //! Run with: `cargo run --release --example fleet_demo [metrics.json] [trace.json]`
 
 use pypim::fleet::{Fleet, FleetConfig};
-use pypim::loadgen::{run_fleet, ArrivalProfile, ClassSpec, LoadgenConfig, RequestShape};
+use pypim::loadgen::{run, ArrivalProfile, ClassSpec, LoadgenConfig, RequestShape};
 use pypim::{HostFaultPlan, PimConfig, Result, ServeConfig};
 
 const HOSTS: usize = 3;
@@ -87,7 +87,7 @@ fn main() -> Result<()> {
         latency_target_cycles: 0,
         drain: true,
     };
-    let report = run_fleet(&fleet, &cfg)?;
+    let report = run(&fleet, &cfg)?;
 
     println!(
         "\ninjected {} → completed {} (failed {}), {:.0} rps offered / {:.0} rps achieved",

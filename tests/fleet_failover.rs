@@ -9,7 +9,7 @@
 use futures::executor::{block_on, block_on_timeout};
 use proptest::prelude::*;
 use pypim::fleet::{Fleet, FleetConfig};
-use pypim::loadgen::{run_fleet, ArrivalProfile, ClassSpec, LoadgenConfig, RequestShape};
+use pypim::loadgen::{run, ArrivalProfile, ClassSpec, LoadgenConfig, RequestShape};
 use pypim::{
     ClusterClient, ErrorClass, HostFault, HostFaultPlan, HostFaultProfile, PimConfig, Result,
     ServeConfig,
@@ -108,7 +108,7 @@ fn leader_kill_mid_load_reelects_and_replaces_orphans() {
     let fleet = Fleet::new(fleet_cfg(3, plan.clone())).unwrap();
     assert_eq!(fleet.leader().unwrap().holder, 0, "host 0 leads at start");
 
-    let report = run_fleet(&fleet, &open_loop_cfg(23)).unwrap();
+    let report = run(&fleet, &open_loop_cfg(23)).unwrap();
 
     // Counters match the schedule: one crashed host → exactly one
     // failover and one leadership change (the initial election happened
@@ -136,8 +136,8 @@ fn leader_kill_mid_load_reelects_and_replaces_orphans() {
 #[test]
 fn leader_kill_report_is_bit_identical_across_runs() {
     let make = || Fleet::new(fleet_cfg(3, HostFaultPlan::none().crash_at(0, 150_000)));
-    let a = run_fleet(&make().unwrap(), &open_loop_cfg(7)).unwrap();
-    let b = run_fleet(&make().unwrap(), &open_loop_cfg(7)).unwrap();
+    let a = run(&make().unwrap(), &open_loop_cfg(7)).unwrap();
+    let b = run(&make().unwrap(), &open_loop_cfg(7)).unwrap();
     assert_eq!(a.end_cycle, b.end_cycle, "failover must replay exactly");
     assert_eq!(a.injected, b.injected);
     assert_eq!(a.completed, b.completed);
@@ -256,7 +256,7 @@ proptest! {
         let make = || Fleet::new(fleet_cfg(3, plan.clone()));
         let cfg = open_loop_cfg(seed ^ 0x9E37);
 
-        let a = run_fleet(&make().unwrap(), &cfg).unwrap();
+        let a = run(&make().unwrap(), &cfg).unwrap();
         prop_assert_eq!(
             a.completed + a.failed, a.injected,
             "requests leaked under plan {:?}", plan
@@ -266,7 +266,7 @@ proptest! {
             "{:?} under plan {:?}", a.fleet, plan
         );
 
-        let b = run_fleet(&make().unwrap(), &cfg).unwrap();
+        let b = run(&make().unwrap(), &cfg).unwrap();
         prop_assert_eq!(a.end_cycle, b.end_cycle, "plan {:?}", plan);
         prop_assert_eq!(a.completed, b.completed);
         prop_assert_eq!(a.failed, b.failed);
