@@ -720,7 +720,7 @@ pub enum Submission {
 }
 
 impl Submission {
-    /// Blocks until the submission completes (no-op for [`Inline`]
+    /// Blocks until the submission completes (no-op for [`Inline`](Submission::Inline)
     /// submissions, which completed before they were returned).
     ///
     /// # Errors

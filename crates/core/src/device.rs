@@ -641,9 +641,9 @@ impl Device {
     /// Submits request-tagged instruction batches *without waiting* — the
     /// attribution-aware variant of [`submit_instrs`](Device::submit_instrs)
     /// the serving gateway coalesces client requests onto. Each
-    /// [`TaggedBatch`] carries the [`RequestId`] its modeled cycles,
-    /// instruction counts, cross-chip words and trace spans are attributed
-    /// to; execution results are bit-identical to submitting the
+    /// [`TaggedBatch`] carries the [`RequestId`](crate::RequestId) its
+    /// modeled cycles, instruction counts, cross-chip words and trace spans
+    /// are attributed to; execution results are bit-identical to submitting the
     /// concatenated instructions untagged, whether or not telemetry is
     /// recording.
     ///

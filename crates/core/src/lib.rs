@@ -42,7 +42,6 @@ mod alloc;
 mod cordic;
 mod device;
 mod error;
-mod minmax;
 mod movement;
 mod ops;
 mod reduce;
@@ -60,7 +59,7 @@ pub use pim_cluster::{
     HostFaultProfile, LinkFaultKind, LinkWindow, RecoveryConfig, ShardBackends,
 };
 pub use pim_func::BackendKind;
-pub use reduce::identity_bits;
+pub use reduce::{ReduceOp, ReducePlan, ReduceStep};
 pub use tensor::Tensor;
 
 pub use pim_cluster::TaggedBatch;

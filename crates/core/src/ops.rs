@@ -11,7 +11,7 @@ use pim_isa::{DType, Instruction, RegOp};
 use std::ops::{Add, Div, Mul, Neg, Rem, Sub};
 
 impl Tensor {
-    fn check_binary(&self, rhs: &Tensor) -> Result<()> {
+    fn check_shape(&self, rhs: &Tensor) -> Result<()> {
         if !self.device().same_device(rhs.device()) {
             return Err(CoreError::DeviceMismatch);
         }
@@ -19,6 +19,16 @@ impl Tensor {
             return Err(CoreError::ShapeMismatch {
                 lhs: self.len(),
                 rhs: rhs.len(),
+            });
+        }
+        Ok(())
+    }
+
+    fn check_binary(&self, rhs: &Tensor) -> Result<()> {
+        self.check_shape(rhs)?;
+        if self.dtype() != rhs.dtype() {
+            return Err(CoreError::DTypeMismatch {
+                what: format!("{} vs {}", self.dtype(), rhs.dtype()),
             });
         }
         Ok(())
@@ -85,17 +95,11 @@ impl Tensor {
             .collect()
     }
 
-    /// Issues an R-type operation over this view's thread ranges as one
-    /// batch, so sharded devices run all chips concurrently.
-    pub(crate) fn issue_rtype(
-        &self,
-        op: RegOp,
-        dtype: DType,
-        dst: u8,
-        srcs: [u8; 3],
-    ) -> Result<()> {
-        self.device()
-            .exec_batch(&self.rtype_instrs(op, dtype, dst, srcs))
+    /// Executes planned instructions as one batch (so sharded devices run
+    /// all chips concurrently) and returns the planned result.
+    fn run_planned((out, instrs): (Tensor, Vec<Instruction>)) -> Result<Tensor> {
+        out.device().exec_batch(&instrs)?;
+        Ok(out)
     }
 
     /// Plans an element-parallel binary operation without executing it:
@@ -110,11 +114,6 @@ impl Tensor {
     /// ([`CoreError::Misaligned`]), or allocation failure.
     pub fn plan_binary(&self, op: RegOp, rhs: &Tensor) -> Result<(Tensor, Vec<Instruction>)> {
         self.check_binary(rhs)?;
-        if self.dtype() != rhs.dtype() {
-            return Err(CoreError::DTypeMismatch {
-                what: format!("{} vs {}", self.dtype(), rhs.dtype()),
-            });
-        }
         if !self.aligned_with(rhs) {
             return Err(CoreError::Misaligned {
                 what: "plan_binary requires thread-aligned operands (copy the \
@@ -144,6 +143,32 @@ impl Tensor {
         Ok((out, instrs))
     }
 
+    /// Plans an element-parallel select (see [`select`](Tensor::select))
+    /// without executing it, like [`plan_binary`](Tensor::plan_binary):
+    /// `a` and `b` must already be thread-aligned with the condition.
+    ///
+    /// # Errors
+    ///
+    /// Fails on shape/dtype/device mismatches, on misaligned operands
+    /// ([`CoreError::Misaligned`]), or allocation failure.
+    pub fn plan_select(&self, a: &Tensor, b: &Tensor) -> Result<(Tensor, Vec<Instruction>)> {
+        self.check_shape(a)?;
+        a.check_binary(b)?;
+        if !(self.aligned_with(a) && self.aligned_with(b)) {
+            return Err(CoreError::Misaligned {
+                what: "plan_select requires operands thread-aligned with the condition".into(),
+            });
+        }
+        let out = self.alloc_result(a.dtype())?;
+        let instrs = self.rtype_instrs(
+            RegOp::Mux,
+            a.dtype(),
+            out.reg(),
+            [self.reg(), a.reg(), b.reg()],
+        );
+        Ok((out, instrs))
+    }
+
     /// Element-parallel binary operation.
     ///
     /// # Errors
@@ -151,20 +176,8 @@ impl Tensor {
     /// Fails on shape/dtype/device mismatches or unsupported operations.
     pub fn binary(&self, op: RegOp, rhs: &Tensor) -> Result<Tensor> {
         self.check_binary(rhs)?;
-        if self.dtype() != rhs.dtype() {
-            return Err(CoreError::DTypeMismatch {
-                what: format!("{} vs {}", self.dtype(), rhs.dtype()),
-            });
-        }
         let rhs = self.aligned_operand(rhs)?;
-        let out_dtype = if op.is_comparison() {
-            DType::Int32
-        } else {
-            self.dtype()
-        };
-        let out = self.alloc_result(out_dtype)?;
-        self.issue_rtype(op, self.dtype(), out.reg(), [self.reg(), rhs.reg(), 0])?;
-        Ok(out)
+        Tensor::run_planned(self.plan_binary(op, &rhs)?)
     }
 
     /// Element-parallel binary operation against a broadcast scalar (raw
@@ -185,9 +198,7 @@ impl Tensor {
     ///
     /// Fails on unsupported operations.
     pub fn unary(&self, op: RegOp) -> Result<Tensor> {
-        let out = self.alloc_result(self.dtype())?;
-        self.issue_rtype(op, self.dtype(), out.reg(), [self.reg(), 0, 0])?;
-        Ok(out)
+        Tensor::run_planned(self.plan_unary(op)?)
     }
 
     /// `self < rhs` as an int32 0/1 tensor.
@@ -314,23 +325,32 @@ impl Tensor {
     ///
     /// Fails on shape/dtype/device mismatches.
     pub fn select(&self, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-        self.check_binary(a)?;
-        self.check_binary(b)?;
-        if a.dtype() != b.dtype() {
-            return Err(CoreError::DTypeMismatch {
-                what: format!("{} vs {}", a.dtype(), b.dtype()),
-            });
-        }
+        self.check_shape(a)?;
+        a.check_binary(b)?;
         let a = self.aligned_operand(a)?;
         let b = self.aligned_operand(b)?;
-        let out = self.alloc_result(a.dtype())?;
-        self.issue_rtype(
-            RegOp::Mux,
-            a.dtype(),
-            out.reg(),
-            [self.reg(), a.reg(), b.reg()],
-        )?;
-        Ok(out)
+        Tensor::run_planned(self.plan_select(&a, &b)?)
+    }
+
+    /// Element-wise maximum of two tensors (`NaN` handling follows the
+    /// comparison: a `NaN` element loses every comparison, so the other
+    /// operand is selected) — one half of the bitonic network's
+    /// compare-and-swap.
+    ///
+    /// # Errors
+    ///
+    /// Fails on shape/dtype/device mismatches.
+    pub fn max_elem(&self, rhs: &Tensor) -> Result<Tensor> {
+        self.gt(rhs)?.select(self, rhs)
+    }
+
+    /// Element-wise minimum of two tensors.
+    ///
+    /// # Errors
+    ///
+    /// Fails on shape/dtype/device mismatches.
+    pub fn min_elem(&self, rhs: &Tensor) -> Result<Tensor> {
+        self.lt(rhs)?.select(self, rhs)
     }
 }
 

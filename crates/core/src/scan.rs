@@ -4,9 +4,10 @@
 //! instruction stays uniform across threads.
 
 use crate::movement;
+use crate::reduce::ReduceOp;
 use crate::tensor::Tensor;
-use crate::{CoreError, Result};
-use pim_isa::{DType, RegOp};
+use crate::Result;
+use pim_isa::RegOp;
 
 impl Tensor {
     /// Inclusive prefix scan with `op` (`Add` or `Mul`):
@@ -17,18 +18,7 @@ impl Tensor {
     ///
     /// Fails on unsupported operations or movement errors.
     pub fn scan(&self, op: RegOp) -> Result<Tensor> {
-        if !matches!(op, RegOp::Add | RegOp::Mul) {
-            return Err(CoreError::DTypeMismatch {
-                what: format!("scan requires add or mul, got {op}"),
-            });
-        }
-        let identity = match (op, self.dtype) {
-            (RegOp::Add, DType::Int32) => 0u32,
-            (RegOp::Add, DType::Float32) => 0.0f32.to_bits(),
-            (RegOp::Mul, DType::Int32) => 1,
-            (RegOp::Mul, DType::Float32) => 1.0f32.to_bits(),
-            _ => unreachable!(),
-        };
+        let identity = ReduceOp::from_alu(op)?.pad_bits(self.dtype);
         let n = self.len();
         // Dense working copy (shifts require an unsliced layout).
         let mut t = movement::compact_with_padding(self, n, identity)?;
@@ -38,7 +28,7 @@ impl Tensor {
             // identity, so overwrite them after the shift.
             let prev = movement::shifted(&t, -(d as i64))?;
             let head = prev.slice(0, d)?;
-            head.fill_raw_pub(identity)?;
+            head.fill_raw(identity)?;
             t = t.binary(op, &prev)?;
             d *= 2;
         }

@@ -10,16 +10,10 @@
 //! uniform across threads (no irregular masks needed).
 
 use crate::movement;
+use crate::reduce::ReduceOp;
 use crate::tensor::Tensor;
 use crate::Result;
 use pim_isa::DType;
-
-fn pad_max_bits(dtype: DType) -> u32 {
-    match dtype {
-        DType::Int32 => i32::MAX as u32,
-        DType::Float32 => f32::INFINITY.to_bits(),
-    }
-}
 
 impl Tensor {
     /// Returns an ascending-sorted copy of the tensor (bitonic network,
@@ -34,7 +28,10 @@ impl Tensor {
     pub fn sorted(&self) -> Result<Tensor> {
         let n = self.len();
         let n2 = n.next_power_of_two();
-        let mut t = movement::compact_with_padding(self, n2, pad_max_bits(self.dtype()))?;
+        // Pad with the largest value (the min-reduction identity): the pad
+        // sorts last, past the n elements the result keeps.
+        let pad = ReduceOp::Min.pad_bits(self.dtype());
+        let mut t = movement::compact_with_padding(self, n2, pad)?;
         if n2 == 1 {
             return Ok(t);
         }

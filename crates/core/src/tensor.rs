@@ -292,17 +292,6 @@ impl Tensor {
         Ok(())
     }
 
-    /// Broadcast-writes a raw word to every element of this view (one
-    /// write instruction per thread range — the ISA's range-repeated write
-    /// for constants).
-    ///
-    /// # Errors
-    ///
-    /// Propagates write failures.
-    pub fn fill_raw_pub(&self, bits: u32) -> Result<()> {
-        self.fill_raw(bits)
-    }
-
     /// Broadcast-writes a float to every element of this view.
     ///
     /// # Errors
@@ -472,7 +461,12 @@ impl Tensor {
         Ok(self.to_raw_vec()?.into_iter().map(|v| v as i32).collect())
     }
 
-    pub(crate) fn expect_dtype(&self, dtype: DType) -> Result<()> {
+    /// Checks that the tensor holds `dtype` elements.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::DTypeMismatch`] otherwise.
+    pub fn expect_dtype(&self, dtype: DType) -> Result<()> {
         if self.dtype == dtype {
             Ok(())
         } else {

@@ -19,7 +19,8 @@
 //!   mask (dense masks → head half-pair, full middle, tail half-pair;
 //!   step-2 masks → one segment selecting a single 32-bit lane), so the
 //!   inner loops stay branch-free.
-//! * **Batch dead-store elimination** — [`Backend::execute_batch`] charges
+//! * **Batch dead-store elimination** —
+//!   [`Backend::execute_batch`](pim_arch::Backend::execute_batch) charges
 //!   every operation through the shared cost model first, then walks the
 //!   batch backward and skips stores whose output register is completely
 //!   overwritten later in the same batch before any read. Driver-generated

@@ -15,18 +15,20 @@
 //! correctly. A plan that would need a chip-crossing move still works —
 //! the submission falls back to inline barrier-aware execution.
 //!
-//! Memory discipline: planned tensors allocate at *plan* time, and
-//! intermediate stripes freed during planning may be reused by *later*
-//! instructions of the same plan (safe: planning order equals execution
-//! order, and the allocator's hard window reservations keep every other
-//! client out of the session's window, so nobody else can claim a
-//! recycled stripe while its instructions are in flight). The plan
-//! therefore needs its session window to hold only the simultaneously-live
-//! stripes, just like stepwise execution.
+//! Memory discipline: planned tensors allocate at *plan* time, and stripes
+//! freed during planning (a reduction's intermediate levels) may be reused
+//! by later instructions of the same plan — planning order is execution
+//! order. Window reservations keep other sessions off stripes inside the
+//! session's window only. Once the window is full, allocations spill into
+//! unreserved warps, and another spilling session can claim a stripe
+//! freed there and overwrite it before this plan runs. Callers must hold
+//! every tensor they planned until its results are read back (as
+//! `pimbench`'s `Req::plan` does); a reduction's freed levels are safe
+//! only while they lie inside the window.
 
 use crate::ClusterClient;
 use pim_isa::{DType, Instruction, RegOp};
-use pypim_core::{identity_bits, plan_copy, CoreError, Result, Tensor};
+use pypim_core::{CoreError, ReduceOp, ReducePlan, Result, Tensor};
 
 /// An unsubmitted request pipeline on one session (see the module docs).
 /// Build it with [`ClusterClient::plan`], chain ops, then
@@ -152,48 +154,31 @@ impl<'c> RequestPlan<'c> {
 
     /// Plans the whole logarithmic reduction of `t` with `op` (`Add` or
     /// `Mul`), returning the one-element result tensor to read after
-    /// [`run`](RequestPlan::run). Same compact-then-halve loop as the
-    /// stepwise reduction — identical instructions, identical float
-    /// combine order.
+    /// [`run`](RequestPlan::run): the steps of core's [`ReducePlan`], so
+    /// the instructions and float combine order are the stepwise ones.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Misaligned`] for layouts whose alignment moves
-    /// have no instruction plan (use the stepwise
-    /// [`ClusterClient::reduce_raw`] there), plus allocation errors.
+    /// Returns [`CoreError::DTypeMismatch`] for operations other than `Add`
+    /// and `Mul`; [`CoreError::Misaligned`], planning nothing, for layouts
+    /// whose alignment copies have no move plan (use the stepwise
+    /// [`ClusterClient::reduce_raw`] there); plus allocation errors.
     pub fn reduce(&mut self, t: &Tensor, op: RegOp) -> Result<Tensor> {
-        assert!(
-            matches!(op, RegOp::Add | RegOp::Mul),
-            "reduction requires an associative ALU operation"
-        );
         let no_plan = || CoreError::Misaligned {
             what: "this layout's alignment moves cannot be planned; use the \
                    stepwise reduction"
                 .into(),
         };
-        let n2 = t.len().next_power_of_two();
-        let c = self.client.device().uninit(n2, t.dtype())?;
-        self.instrs
-            .extend(c.plan_fill(identity_bits(op, t.dtype())));
-        let prefix = c.slice(0, t.len())?;
-        self.instrs
-            .extend(plan_copy(t, &prefix)?.ok_or_else(no_plan)?);
-        let mut cur = c;
-        while cur.len() > 1 {
-            let half = cur.len() / 2;
-            let lo = cur.slice(0, half)?;
-            let hi = cur.slice(half, cur.len())?;
-            let hi_aligned = lo.empty_aligned(hi.dtype())?;
-            self.instrs
-                .extend(plan_copy(&hi, &hi_aligned)?.ok_or_else(no_plan)?);
-            let (combined, bin) = lo.plan_binary(op, &hi_aligned)?;
-            self.instrs.extend(bin);
-            // Dropping the previous level's stripes here lets later plan
-            // allocations recycle them — safe because planning order is
-            // execution order within the session's shard streams.
-            cur = combined;
+        let mut plan = ReducePlan::new(t, ReduceOp::from_alu(op)?)?.holding_padded();
+        let mut instrs = Vec::new();
+        // Each step is dropped once planned: its level's stripes free now,
+        // and later allocations may recycle them — safe inside the session
+        // window, not in warps spilled outside it (see the module docs).
+        while let Some(step) = plan.next_step()? {
+            instrs.extend(step.batch().ok_or_else(no_plan)?);
         }
-        Ok(cur)
+        self.instrs.extend(instrs);
+        Ok(plan.result().clone())
     }
 
     /// Submits the whole plan as one gateway batch and resolves when it

@@ -5,14 +5,16 @@
 //!
 //! The op set mirrors the synchronous tensor library step for step
 //! (uploads are per-element stores, elementwise ops are the same R-type
-//! plans, reductions run the same compact-then-halve loop), so a request
+//! plans, reductions run the steps of core's one `ReducePlan`), so a request
 //! served through the gateway produces **bit-identical** results to the
 //! same program run synchronously — `tests/serve_contract.rs` holds the
 //! stack to that.
 
 use crate::gateway::GatewayInner;
 use pim_isa::{DType, Instruction, RegOp};
-use pypim_core::{identity_bits, plan_copy, CoreError, Device, PlacementHint, Result, Tensor};
+use pypim_core::{
+    plan_copy, CoreError, Device, PlacementHint, ReduceOp, ReducePlan, Result, Tensor,
+};
 use std::sync::Arc;
 
 /// One client's session on the serving gateway.
@@ -249,64 +251,33 @@ impl ClusterClient {
         self.binary(RegOp::Mul, lhs, rhs).await
     }
 
-    /// Logarithmic-time reduction with `op` (`Add` or `Mul`) — the same
-    /// compact-then-halve loop as the synchronous
-    /// [`Tensor::reduce_raw`](pypim_core::Tensor), every step awaited
-    /// through the gateway, so the combine order (and therefore every
-    /// float rounding) is identical.
+    /// Logarithmic-time reduction with `op` (`Add` or `Mul`): core's
+    /// [`ReducePlan`], the plan behind the synchronous
+    /// [`Tensor::reduce_raw`], with one awaited submission per step, so
+    /// the combine order (and therefore every float rounding) is
+    /// identical. A step whose copy has no move plan runs around a
+    /// read-and-store copy instead.
     ///
     /// # Errors
     ///
-    /// Fails on allocation, movement, or execution errors.
+    /// Returns [`CoreError::DTypeMismatch`] for other operations; fails on
+    /// allocation, movement, or execution errors.
     pub async fn reduce_raw(&self, t: &Tensor, op: RegOp) -> Result<u32> {
-        assert!(
-            matches!(op, RegOp::Add | RegOp::Mul),
-            "reduction requires an associative ALU operation"
-        );
-        // Compact to a power-of-two dense layout padded with the identity.
-        // The pad fill and the data copy ride one submission when a move
-        // plan exists: the instruction order matches the synchronous
-        // `compact_with_padding` exactly (fill first, copy after), and
-        // dependent cells share warps, so shard-FIFO execution preserves
-        // the order — one admission cycle instead of two.
-        let n2 = t.len().next_power_of_two();
-        let c = self.dev.uninit(n2, t.dtype())?;
-        let prefix = c.slice(0, t.len())?;
-        let mut instrs = c.plan_fill(identity_bits(op, t.dtype()));
-        match plan_copy(t, &prefix)? {
-            Some(plan) => {
-                instrs.extend(plan);
-                self.exec(instrs).await?;
+        let mut plan = ReducePlan::new(t, ReduceOp::from_alu(op)?)?.holding_padded();
+        while let Some(step) = plan.next_step()? {
+            if let Some(batch) = step.batch() {
+                self.exec(batch).await?;
+                continue;
             }
-            None => {
-                self.exec(instrs).await?;
-                self.copy(t, &prefix).await?;
+            if !step.before.is_empty() {
+                self.exec(step.before.clone()).await?;
+            }
+            self.copy(&step.src, &step.dst).await?;
+            if !step.after.is_empty() {
+                self.exec(step.after.clone()).await?;
             }
         }
-        // Halve: align the upper half with the lower, combine in parallel.
-        // Each level's align-move and combine fuse into one submission the
-        // same way.
-        let mut cur = c;
-        while cur.len() > 1 {
-            let half = cur.len() / 2;
-            let lo = cur.slice(0, half)?;
-            let hi = cur.slice(half, cur.len())?;
-            let hi_aligned = lo.empty_aligned(hi.dtype())?;
-            cur = match plan_copy(&hi, &hi_aligned)? {
-                Some(mut plan) => {
-                    let (combined, bin) = lo.plan_binary(op, &hi_aligned)?;
-                    plan.extend(bin);
-                    self.exec(plan).await?;
-                    combined
-                }
-                None => {
-                    self.copy(&hi, &hi_aligned).await?;
-                    self.binary(op, &lo, &hi_aligned).await?
-                }
-            };
-        }
-        let locs = cur.element_locs();
-        Ok(self.read_locs(&locs).await?[0])
+        Ok(self.read_locs(&plan.result().element_locs()).await?[0])
     }
 
     /// Sum of all elements (float32).
@@ -315,11 +286,7 @@ impl ClusterClient {
     ///
     /// Fails for non-float tensors or on reduction errors.
     pub async fn sum_f32(&self, t: &Tensor) -> Result<f32> {
-        if t.dtype() != DType::Float32 {
-            return Err(CoreError::DTypeMismatch {
-                what: format!("expected float32, tensor holds {}", t.dtype()),
-            });
-        }
+        t.expect_dtype(DType::Float32)?;
         Ok(f32::from_bits(self.reduce_raw(t, RegOp::Add).await?))
     }
 
@@ -329,11 +296,7 @@ impl ClusterClient {
     ///
     /// Fails for non-int tensors or on reduction errors.
     pub async fn sum_i32(&self, t: &Tensor) -> Result<i32> {
-        if t.dtype() != DType::Int32 {
-            return Err(CoreError::DTypeMismatch {
-                what: format!("expected int32, tensor holds {}", t.dtype()),
-            });
-        }
+        t.expect_dtype(DType::Int32)?;
         Ok(self.reduce_raw(t, RegOp::Add).await? as i32)
     }
 
@@ -343,11 +306,7 @@ impl ClusterClient {
     ///
     /// Fails for non-float tensors or on read errors.
     pub async fn to_vec_f32(&self, t: &Tensor) -> Result<Vec<f32>> {
-        if t.dtype() != DType::Float32 {
-            return Err(CoreError::DTypeMismatch {
-                what: format!("expected float32, tensor holds {}", t.dtype()),
-            });
-        }
+        t.expect_dtype(DType::Float32)?;
         let bits = self.read_locs(&t.element_locs()).await?;
         Ok(bits.into_iter().map(f32::from_bits).collect())
     }
@@ -358,11 +317,7 @@ impl ClusterClient {
     ///
     /// Fails for non-int tensors or on read errors.
     pub async fn to_vec_i32(&self, t: &Tensor) -> Result<Vec<i32>> {
-        if t.dtype() != DType::Int32 {
-            return Err(CoreError::DTypeMismatch {
-                what: format!("expected int32, tensor holds {}", t.dtype()),
-            });
-        }
+        t.expect_dtype(DType::Int32)?;
         let bits = self.read_locs(&t.element_locs()).await?;
         Ok(bits.into_iter().map(|b| b as i32).collect())
     }

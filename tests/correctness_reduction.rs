@@ -144,3 +144,71 @@ fn reduction_cycles_scale_logarithmically() {
         "log-reduction scaling violated: {cycles:?}"
     );
 }
+
+#[test]
+fn partial_warp_levels_fall_back_to_element_copies() {
+    // 12-row warps: the 64-element padded tensor's upper half starts
+    // mid-warp, so its alignment copy has no move plan. The sync and
+    // stepwise reductions fall back to element copies and must still
+    // combine in the host tree's order; the fused plan refuses.
+    use futures::executor::block_on;
+    use pypim::{CoreError, DeviceServeExt, RegOp, ServeConfig};
+
+    let cfg = PimConfig::small().with_crossbars(8).with_rows(12);
+    let mut r = rand::rngs::StdRng::seed_from_u64(46);
+    let vals: Vec<f32> = (0..40).map(|_| r.gen_range(-100.0f32..100.0)).collect();
+    let sum = tree_reduce_f32(&vals, 0.0, |a, b| a + b);
+    let max = tree_reduce_f32(&vals, f32::NEG_INFINITY, |a, b| if a > b { a } else { b });
+    let min = tree_reduce_f32(&vals, f32::INFINITY, |a, b| if a < b { a } else { b });
+
+    let dev = Device::new(cfg.clone()).unwrap();
+    let t = dev.from_slice_f32(&vals).unwrap();
+    assert_eq!(t.sum_f32().unwrap().to_bits(), sum.to_bits());
+    assert_eq!(t.max_f32().unwrap().to_bits(), max.to_bits());
+    assert_eq!(t.min_f32().unwrap().to_bits(), min.to_bits());
+
+    let gateway = Device::new(cfg).unwrap().serve(ServeConfig::default());
+    let client = gateway.session_with_warps(8).unwrap();
+    let t = block_on(client.upload_f32(&vals)).unwrap();
+    assert_eq!(
+        block_on(client.sum_f32(&t)).unwrap().to_bits(),
+        sum.to_bits()
+    );
+    let mut plan = client.plan();
+    assert!(matches!(
+        plan.reduce(&t, RegOp::Add),
+        Err(CoreError::Misaligned { .. })
+    ));
+}
+
+#[test]
+fn non_associative_reductions_are_typed_errors() {
+    let t = device().from_slice_i32(&[1, 2, 3]).unwrap();
+    for op in [pypim::RegOp::Sub, pypim::RegOp::Div, pypim::RegOp::Gt] {
+        assert!(matches!(
+            t.reduce_raw(op),
+            Err(pypim::CoreError::DTypeMismatch { .. })
+        ));
+    }
+}
+
+#[test]
+fn reduce_plan_compacts_then_halves_once_per_level() {
+    // 5 elements pad to 8: the compaction (one pad fill before its copy)
+    // then three levels, each combining with one Gt and one Mux after its
+    // copy. Run through the public step API, the plan reaches the same
+    // maximum as the synchronous reduction.
+    use pypim::{ReduceOp, ReducePlan};
+    let dev = device();
+    let t = dev.from_slice_i32(&[4, -9, 7, 1, 3]).unwrap();
+    let mut plan = ReducePlan::new(&t, ReduceOp::Max).unwrap();
+    let mut shape = Vec::new();
+    while let Some(step) = plan.next_step().unwrap() {
+        shape.push((step.before.len(), step.after.len()));
+        let batch = step.batch().expect("dense layouts have move plans");
+        dev.submit_instrs(&batch).unwrap().wait().unwrap();
+    }
+    assert_eq!(shape, vec![(1, 0), (0, 2), (0, 2), (0, 2)]);
+    assert_eq!(plan.result().to_vec_i32().unwrap(), vec![7]);
+    assert_eq!(t.max_i32().unwrap(), 7);
+}

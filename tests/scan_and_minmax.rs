@@ -150,3 +150,34 @@ fn fill_through_views() {
     f.fill_f32(2.5).unwrap();
     assert_eq!(f.to_vec_f32().unwrap(), vec![2.5; 4]);
 }
+
+#[test]
+fn scan_rejects_non_associative_ops() {
+    let t = device().from_slice_i32(&[1, 2, 3]).unwrap();
+    for op in [pypim::RegOp::Sub, pypim::RegOp::Gt] {
+        assert!(matches!(
+            t.scan(op),
+            Err(pypim::CoreError::DTypeMismatch { .. })
+        ));
+    }
+}
+
+#[test]
+fn planned_select_needs_operands_aligned_with_the_condition() {
+    let dev = device();
+    let cond = dev.from_slice_i32(&[1, 0, 1]).unwrap();
+    let a = cond.empty_aligned(pypim::DType::Int32).unwrap();
+    let b = cond.empty_aligned(pypim::DType::Int32).unwrap();
+    let mut instrs = a.plan_store([10, 11, 12]);
+    instrs.extend(b.plan_store([20, 21, 22]));
+    let (out, select) = cond.plan_select(&a, &b).unwrap();
+    instrs.extend(select);
+    dev.submit_instrs(&instrs).unwrap().wait().unwrap();
+    assert_eq!(out.to_vec_i32().unwrap(), vec![10, 21, 12]);
+    // The same operands shifted by one element no longer line up.
+    let head = |t: &pypim::Tensor| t.slice(0, 2).unwrap();
+    assert!(matches!(
+        head(&cond).plan_select(&a.slice(1, 3).unwrap(), &head(&b)),
+        Err(pypim::CoreError::Misaligned { .. })
+    ));
+}

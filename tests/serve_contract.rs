@@ -256,3 +256,104 @@ proptest! {
         }
     }
 }
+
+/// The result's bits, the modeled cycles `reduce` charges, and the
+/// driver-issued cycles `(logic, total)` of the whole program so far.
+fn charged(dev: &Device, reduce: impl FnOnce() -> Result<f32>) -> (u32, u64, u64, u64) {
+    let before = dev.cycles().unwrap();
+    let bits = reduce().unwrap().to_bits();
+    let issued = dev.issued().unwrap();
+    (
+        bits,
+        dev.cycles().unwrap() - before,
+        issued.logic,
+        issued.total,
+    )
+}
+
+#[test]
+fn reduction_paths_charge_identical_modeled_cycles() {
+    // The whole 16×256 chip: the sync, stepwise and fused reductions run
+    // the same instructions, so they charge the same modeled cycles (one
+    // result read included) down to the cycle.
+    let chip = || {
+        Device::with_backend(
+            PimConfig::small().with_crossbars(16).with_rows(256),
+            pypim::BackendKind::Functional,
+        )
+        .unwrap()
+    };
+    let values = payload(1, 2, 4096);
+    let pinned = |(bits, cycles, logic, total): (u32, u64, u64, u64)| {
+        assert_eq!((cycles, logic, total), (78_842, 75_295, 87_050));
+        bits
+    };
+
+    let dev = chip();
+    let t = dev.from_slice_f32(&values).unwrap();
+    let sync = pinned(charged(&dev, || t.sum_f32()));
+
+    let dev = chip();
+    let gateway = dev.serve(ServeConfig::default());
+    let client = gateway.session_with_warps(16).unwrap();
+    let t = block_on(client.upload_f32(&values)).unwrap();
+    let stepwise = pinned(charged(&dev, || block_on(client.sum_f32(&t))));
+
+    let dev = chip();
+    let gateway = dev.serve(ServeConfig::default());
+    let client = gateway.session_with_warps(16).unwrap();
+    let t = block_on(client.upload_f32(&values)).unwrap();
+    let fused = pinned(charged(&dev, || {
+        block_on(async {
+            let mut plan = client.plan();
+            let s = plan.reduce(&t, RegOp::Add)?;
+            plan.run().await?;
+            Ok(client.to_vec_f32(&s).await?[0])
+        })
+    }));
+
+    assert_eq!((stepwise, fused), (sync, sync));
+}
+
+#[test]
+fn cluster_max_charges_pinned_modeled_cycles() {
+    // The lib_sort_cluster geometry: 2 shards of 2 crossbars x 64 rows,
+    // 256 floats spanning both.
+    let dev = Device::cluster(PimConfig::small().with_crossbars(2), 2).unwrap();
+    let values = payload(3, 0, 256);
+    let t = dev.from_slice_f32(&values).unwrap();
+    let before = dev.cluster_stats().unwrap().unwrap();
+    let max = t.max_f32().unwrap();
+    let after = dev.cluster_stats().unwrap().unwrap();
+    assert_eq!(max, values.iter().copied().fold(f32::MIN, f32::max));
+    assert_eq!(
+        after.modeled_latency_cycles() - before.modeled_latency_cycles(),
+        8_890
+    );
+    assert_eq!(after.traffic.link_cycles - before.traffic.link_cycles, 40);
+}
+
+#[test]
+fn stepwise_reduction_rejects_non_associative_ops() {
+    let gateway = cluster_dev().serve(ServeConfig::default());
+    let client = gateway.session().unwrap();
+    let t = block_on(client.upload_i32(&[1, 2, 3])).unwrap();
+    assert!(matches!(
+        block_on(client.reduce_raw(&t, RegOp::Sub)),
+        Err(pypim::CoreError::DTypeMismatch { .. })
+    ));
+}
+
+#[test]
+fn fused_reduction_rejects_non_associative_ops() {
+    let gateway = cluster_dev().serve(ServeConfig::default());
+    let client = gateway.session().unwrap();
+    let mut plan = client.plan();
+    let t = plan.upload_i32(&[1, 2, 3]).unwrap();
+    let planned = plan.len();
+    assert!(matches!(
+        plan.reduce(&t, RegOp::Sub),
+        Err(pypim::CoreError::DTypeMismatch { .. })
+    ));
+    assert_eq!(plan.len(), planned, "a refused reduction plans nothing");
+}
