@@ -2,7 +2,6 @@
 //! shard, each on its own worker thread, fed through batched job channels.
 
 use crate::coalesce::{CrossingMove, MoveCoalescer};
-use crate::interconnect::{DrainPolicy, Staging};
 use crate::sched::BatchScheduler;
 use crate::{
     ClusterError, Interconnect, InterconnectConfig, LinkFaultKind, ShardPlan, TrafficStats,
@@ -106,10 +105,8 @@ impl ShardBackends {
 }
 
 /// Everything configurable about a cluster, bundled so call sites name
-/// only what they change ([`PimCluster::with_options`]). The positional
-/// constructors ([`new`](PimCluster::new) …
-/// [`with_telemetry`](PimCluster::with_telemetry)) are shorthands over
-/// this.
+/// only what they change ([`PimCluster::with_options`];
+/// [`PimCluster::new`] uses the defaults).
 #[derive(Clone)]
 pub struct ClusterOptions {
     /// Driver parallelism mode for every shard.
@@ -306,36 +303,6 @@ impl MetricsSource for ClusterStats {
         snap.set_counter("cluster.replayed_instructions", self.replayed_instructions);
         self.traffic.fill_metrics(snap);
     }
-}
-
-/// Host-side fold applied to gathered shard values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Combine {
-    /// Summation (wrapping for int32).
-    Sum,
-    /// Minimum.
-    Min,
-    /// Maximum.
-    Max,
-}
-
-/// Folds float values in order. Returns `None` for an empty input.
-pub fn fold_f32(op: Combine, values: impl IntoIterator<Item = f32>) -> Option<f32> {
-    values.into_iter().reduce(|a, b| match op {
-        Combine::Sum => a + b,
-        Combine::Min => a.min(b),
-        Combine::Max => a.max(b),
-    })
-}
-
-/// Folds int values in order (wrapping sum). Returns `None` for an empty
-/// input.
-pub fn fold_i32(op: Combine, values: impl IntoIterator<Item = i32>) -> Option<i32> {
-    values.into_iter().reduce(|a, b| match op {
-        Combine::Sum => a.wrapping_add(b),
-        Combine::Min => a.min(b),
-        Combine::Max => a.max(b),
-    })
 }
 
 /// A global memory location: `(warp, row, register)` in cluster-wide warp
@@ -811,17 +778,20 @@ impl std::fmt::Debug for PimCluster {
 }
 
 impl PimCluster {
-    /// Spawns a cluster of `shards` chips of geometry `cfg` with the default
-    /// (partition-parallel) driver mode.
+    /// Spawns a cluster of `shards` chips of geometry `cfg` with default
+    /// [`ClusterOptions`].
     ///
     /// # Errors
     ///
-    /// Returns an error for a zero shard count or an invalid configuration.
+    /// See [`with_options`](PimCluster::with_options).
     pub fn new(cfg: PimConfig, shards: usize) -> Result<Self, ClusterError> {
-        PimCluster::with_mode(cfg, shards, ParallelismMode::default())
+        PimCluster::with_options(cfg, shards, ClusterOptions::default())
     }
 
-    /// Spawns a cluster with an explicit driver parallelism mode.
+    /// Spawns a cluster from a full [`ClusterOptions`] bundle: driver
+    /// parallelism mode, interconnect link model, telemetry, crash recovery
+    /// ([`RecoveryConfig`]), deterministic fault injection
+    /// ([`FaultInjector`]) and per-shard backends.
     ///
     /// Each shard backend is pinned to a single internal thread
     /// ([`AnyBackend::set_threads`]) — parallelism comes from the shard
@@ -832,75 +802,21 @@ impl PimCluster {
     /// (the first shard to need it misses; the rest hit), while hit/miss
     /// telemetry stays per shard in [`ShardStats`].
     ///
-    /// # Errors
+    /// The interconnect's link width/latency set the modeled cycle cost of
+    /// cross-chip transfers ([`TrafficStats`]).
     ///
-    /// See [`new`](PimCluster::new).
-    pub fn with_mode(
-        cfg: PimConfig,
-        shards: usize,
-        mode: ParallelismMode,
-    ) -> Result<Self, ClusterError> {
-        PimCluster::with_interconnect(cfg, shards, mode, InterconnectConfig::default())
-    }
-
-    /// Spawns a cluster with explicit driver parallelism and chip-to-chip
-    /// interconnect models. The interconnect's link width/latency set the
-    /// modeled cycle cost of cross-chip transfers ([`TrafficStats`]); its
-    /// staging and drain policies select the transfer batching and the
-    /// scheduler's barrier scope (the defaults — batched bursts, drain only
-    /// touched shards — are what production wants; the per-word/global
-    /// alternatives exist for A/B measurement).
+    /// Each shard worker records onto its own `shard-{i}` trace track of
+    /// the options' [`Telemetry`] handle (spans on the shard's modeled cycle
+    /// timeline, attributed per request), and host-staged interconnect
+    /// bursts record onto `cluster/interconnect`. The handle may be shared
+    /// with (and flipped on/off by) the layers above; recording never
+    /// affects execution.
     ///
     /// # Errors
     ///
     /// Returns [`ClusterError::InvalidInterconnect`] for an unusable link
-    /// model, plus everything [`new`](PimCluster::new) returns.
-    pub fn with_interconnect(
-        cfg: PimConfig,
-        shards: usize,
-        mode: ParallelismMode,
-        icfg: InterconnectConfig,
-    ) -> Result<Self, ClusterError> {
-        PimCluster::with_telemetry(cfg, shards, mode, icfg, Telemetry::disabled())
-    }
-
-    /// Spawns a cluster recording into an explicit [`Telemetry`] handle:
-    /// each shard worker gets its own `shard-{i}` trace track (spans on the
-    /// shard's modeled cycle timeline, attributed per request), and
-    /// host-staged interconnect bursts record onto `cluster/interconnect`.
-    /// The handle may be shared with (and flipped on/off by) the layers
-    /// above; recording never affects execution.
-    ///
-    /// # Errors
-    ///
-    /// See [`with_interconnect`](PimCluster::with_interconnect).
-    pub fn with_telemetry(
-        cfg: PimConfig,
-        shards: usize,
-        mode: ParallelismMode,
-        icfg: InterconnectConfig,
-        telemetry: Telemetry,
-    ) -> Result<Self, ClusterError> {
-        PimCluster::with_options(
-            cfg,
-            shards,
-            ClusterOptions {
-                mode,
-                interconnect: icfg,
-                telemetry,
-                ..ClusterOptions::default()
-            },
-        )
-    }
-
-    /// Spawns a cluster from a full [`ClusterOptions`] bundle — the one
-    /// constructor every shorthand delegates to. This is where crash
-    /// recovery ([`RecoveryConfig`]) and deterministic fault injection
-    /// ([`FaultInjector`]) are configured.
-    ///
-    /// # Errors
-    ///
-    /// See [`with_interconnect`](PimCluster::with_interconnect).
+    /// model, and an error for a zero shard count, an invalid configuration
+    /// or an invalid backend selection.
     pub fn with_options(
         cfg: PimConfig,
         shards: usize,
@@ -978,7 +894,7 @@ impl PimCluster {
     }
 
     /// The telemetry handle this cluster records into (disabled by default;
-    /// see [`with_telemetry`](PimCluster::with_telemetry)).
+    /// see [`with_options`](PimCluster::with_options)).
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
     }
@@ -1244,9 +1160,7 @@ impl PimCluster {
     /// that crosses a chip boundary drains only the shards it touches
     /// (source + destination warp owners), while every untouched shard
     /// keeps streaming its queued instructions concurrently with the
-    /// transfer (the drain rule; see the crate-level docs —
-    /// [`DrainPolicy::Global`] restores the PR-1 all-shard barrier for A/B
-    /// measurement).
+    /// transfer (the drain rule; see the crate-level docs).
     ///
     /// # Errors
     ///
@@ -1374,16 +1288,14 @@ impl PimCluster {
     /// moves. Any instruction that cannot join the run — a different
     /// distance, a data hazard, or simply not a crossing move — flushes the
     /// run *before* it is enqueued, so shard-visible effects keep
-    /// instruction-stream order. Under [`Coalesce::Off`](crate::Coalesce)
-    /// every run holds one move and this degenerates to the per-move PR-3
-    /// path.
+    /// instruction-stream order.
     fn execute_batch_validated(
         &self,
         instrs: &[Instruction],
         request: RequestId,
     ) -> Result<(), ClusterError> {
         let mut sched = BatchScheduler::new(self, request);
-        let mut coalescer = MoveCoalescer::new(self.interconnect.config().coalesce);
+        let mut coalescer = MoveCoalescer::new();
         let mut parts: Vec<(usize, Instruction)> = Vec::new();
         for instr in instrs {
             if coalescer.is_empty() {
@@ -1421,9 +1333,9 @@ impl PimCluster {
 
     /// Flushes the coalescer's current run: one barrier over the union of
     /// the shards the run touches, then one bulk transfer staging every
-    /// crossing pair of every member (under [`Staging::Batched`]: one
-    /// gathered read burst and one scattered write burst per
-    /// `(source, destination)` shard pair for the whole run).
+    /// crossing pair of every member: one gathered read burst and one
+    /// scattered write burst per `(source, destination)` shard pair for the
+    /// whole run.
     fn flush_run(
         &self,
         sched: &mut BatchScheduler<'_>,
@@ -1434,10 +1346,7 @@ impl PimCluster {
         if run.is_empty() {
             return Ok(());
         }
-        let touched = match self.interconnect.config().drain {
-            DrainPolicy::Touched => MoveCoalescer::touched_shards(&run, &self.plan),
-            DrainPolicy::Global => vec![true; self.shards()],
-        };
+        let touched = MoveCoalescer::touched_shards(&run, &self.plan);
         self.interconnect.record_barrier(sched.busy(&touched));
         sched.barrier(&touched)?;
         self.cross_transfer(&run, request)
@@ -1548,15 +1457,6 @@ impl PimCluster {
         Ok(Submission::Tickets(JobSet::new(tickets)))
     }
 
-    /// Inter-chip transfer of one coalesced run over the modeled
-    /// interconnect: the crossing pairs of *every* member are concatenated
-    /// and grouped into one message per `(source, destination)` shard pair
-    /// — one gathered read burst and one scattered write burst each — with
-    /// every burst's cycle cost accounted to [`TrafficStats`]. All gathers
-    /// precede all scatters; this is safe because run members are
-    /// cell-independent of each other ([`MoveCoalescer::accepts`]) and each
-    /// member's own source and destination warp sets are disjoint (H-tree
-    /// rule).
     /// Records one accounted burst as a trace span on the interconnect
     /// track and attributes its traffic to `request`. The burst occupies
     /// `[now, now + cycles)` on the global modeled clock and advances it —
@@ -1603,72 +1503,58 @@ impl PimCluster {
         Ok(())
     }
 
+    /// Inter-chip transfer of one coalesced run over the modeled
+    /// interconnect: the crossing pairs of *every* member are concatenated
+    /// and grouped into one message per `(source, destination)` shard pair
+    /// — one gathered read burst and one scattered write burst each — with
+    /// every burst's cycle cost accounted to [`TrafficStats`]. All gathers
+    /// precede all scatters; this is safe because run members are
+    /// cell-independent of each other ([`MoveCoalescer::accepts`]) and each
+    /// member's own source and destination warp sets are disjoint (H-tree
+    /// rule).
     fn cross_transfer(&self, run: &[CrossingMove], request: RequestId) -> Result<(), ClusterError> {
-        match self.interconnect.config().staging {
-            Staging::Batched => {
-                let all: Vec<(u32, u32)> =
-                    run.iter().flat_map(|m| m.pairs().iter().copied()).collect();
-                let groups = self.interconnect.group(&self.plan, &all);
-                if run.len() >= 2 {
-                    // Messages a per-move staging would have sent (each
-                    // member's distinct shard pairs), minus the merged
-                    // transfer's. A scratch set keeps this O(pairs) — no
-                    // per-member grouping allocations on the hot path.
-                    let mut distinct: Vec<(usize, usize)> = Vec::new();
-                    let per_move: usize = run
-                        .iter()
-                        .map(|m| {
-                            distinct.clear();
-                            for &(s, d) in m.pairs() {
-                                let key = (self.plan.shard_of_warp(s), self.plan.shard_of_warp(d));
-                                if !distinct.contains(&key) {
-                                    distinct.push(key);
-                                }
-                            }
-                            distinct.len()
-                        })
-                        .sum();
-                    self.interconnect
-                        .record_coalesced(run.len() as u64, (per_move - groups.len()) as u64);
-                }
-                for g in &groups {
-                    self.check_link(g.src_shard, g.dst_shard)?;
-                    let words = g.pairs.len() as u64;
-                    let cycles = self.interconnect.record_burst(words);
-                    self.record_burst_span(request, words, cycles);
-                }
-                let locs: Vec<GlobalLoc> = run
-                    .iter()
-                    .flat_map(|m| m.pairs().iter().map(|&(s, _)| (s, m.row_src(), m.src())))
-                    .collect();
-                let values = self.gather(&locs)?;
-                let writes: Vec<GlobalWrite> = run
-                    .iter()
-                    .flat_map(|m| m.pairs().iter().map(|&(_, d)| (d, m.row_dst(), m.dst())))
-                    .zip(values)
-                    .map(|((d, row, reg), v)| GlobalWrite::new(d, row, reg, v))
-                    .collect();
-                self.scatter(&writes)
-            }
-            Staging::PerWord => {
-                // The PR-1 path: one host round trip per crossing word pair,
-                // each its own single-word message (merging saves barriers
-                // here, never messages).
-                if run.len() >= 2 {
-                    self.interconnect.record_coalesced(run.len() as u64, 0);
-                }
-                for m in run {
+        let all: Vec<(u32, u32)> = run.iter().flat_map(|m| m.pairs().iter().copied()).collect();
+        let groups = self.interconnect.group(&self.plan, &all);
+        if run.len() >= 2 {
+            // Messages the members would have sent moved one at a time
+            // (each member's distinct shard pairs), minus the merged
+            // transfer's. A scratch set keeps this O(pairs) — no per-member
+            // grouping allocations on the hot path.
+            let mut distinct: Vec<(usize, usize)> = Vec::new();
+            let per_move: usize = run
+                .iter()
+                .map(|m| {
+                    distinct.clear();
                     for &(s, d) in m.pairs() {
-                        self.check_link(self.plan.shard_of_warp(s), self.plan.shard_of_warp(d))?;
-                        let cycles = self.interconnect.record_burst(1);
-                        self.record_burst_span(request, 1, cycles);
-                        let value = self.gather(&[(s, m.row_src(), m.src())])?[0];
-                        self.scatter(&[GlobalWrite::new(d, m.row_dst(), m.dst(), value)])?;
+                        let key = (self.plan.shard_of_warp(s), self.plan.shard_of_warp(d));
+                        if !distinct.contains(&key) {
+                            distinct.push(key);
+                        }
                     }
-                }
-                Ok(())
-            }
+                    distinct.len()
+                })
+                .sum();
+            self.interconnect
+                .record_coalesced(run.len() as u64, (per_move - groups.len()) as u64);
         }
+        for g in &groups {
+            self.check_link(g.src_shard, g.dst_shard)?;
+            let words = g.pairs.len() as u64;
+            let cycles = self.interconnect.record_burst(words);
+            self.record_burst_span(request, words, cycles);
+        }
+        let locs: Vec<GlobalLoc> = run
+            .iter()
+            .flat_map(|m| m.pairs().iter().map(|&(s, _)| (s, m.row_src(), m.src())))
+            .collect();
+        let values = self.gather(&locs)?;
+        let writes: Vec<GlobalWrite> = run
+            .iter()
+            .flat_map(|m| m.pairs().iter().map(|&(_, d)| (d, m.row_dst(), m.dst())))
+            .zip(values)
+            .map(|((d, row, reg), v)| GlobalWrite::new(d, row, reg, v))
+            .collect();
+        self.scatter(&writes)
     }
 
     /// Reads many global `(warp, row, register)` locations, one shard job
@@ -1760,31 +1646,6 @@ impl PimCluster {
             }
         }
         Ok(JobSet::new(tickets))
-    }
-
-    /// Gathers float words from `locs` and folds them on the host — the
-    /// cross-shard combining step of a sharded reduction.
-    ///
-    /// # Errors
-    ///
-    /// Fails for an empty location list or on gather errors.
-    pub fn reduce_f32(&self, locs: &[GlobalLoc], op: Combine) -> Result<f32, ClusterError> {
-        let bits = self.gather(locs)?;
-        fold_f32(op, bits.into_iter().map(f32::from_bits)).ok_or_else(|| ClusterError::Protocol {
-            reason: "reduction over an empty location set".into(),
-        })
-    }
-
-    /// Gathers int words from `locs` and folds them on the host.
-    ///
-    /// # Errors
-    ///
-    /// See [`reduce_f32`](PimCluster::reduce_f32).
-    pub fn reduce_i32(&self, locs: &[GlobalLoc], op: Combine) -> Result<i32, ClusterError> {
-        let bits = self.gather(locs)?;
-        fold_i32(op, bits.into_iter().map(|b| b as i32)).ok_or_else(|| ClusterError::Protocol {
-            reason: "reduction over an empty location set".into(),
-        })
     }
 
     /// Executes a batch of raw micro-operations on one shard through the
@@ -2476,27 +2337,6 @@ mod tests {
     }
 
     #[test]
-    fn reduce_combines_across_shards() {
-        let c = cluster4();
-        let writes: Vec<GlobalWrite> = (0..16u32)
-            .map(|w| GlobalWrite::new(w, 0, 0, (w as f32 + 1.0).to_bits()))
-            .collect();
-        c.scatter(&writes).unwrap();
-        let locs: Vec<GlobalLoc> = (0..16u32).map(|w| (w, 0, 0)).collect();
-        assert_eq!(c.reduce_f32(&locs, Combine::Sum).unwrap(), 136.0);
-        assert_eq!(c.reduce_f32(&locs, Combine::Min).unwrap(), 1.0);
-        assert_eq!(c.reduce_f32(&locs, Combine::Max).unwrap(), 16.0);
-        let iwrites: Vec<GlobalWrite> = (0..16u32)
-            .map(|w| GlobalWrite::new(w, 1, 1, w.wrapping_sub(8)))
-            .collect();
-        c.scatter(&iwrites).unwrap();
-        let ilocs: Vec<GlobalLoc> = (0..16u32).map(|w| (w, 1, 1)).collect();
-        assert_eq!(c.reduce_i32(&ilocs, Combine::Min).unwrap(), -8);
-        assert_eq!(c.reduce_i32(&ilocs, Combine::Max).unwrap(), 7);
-        assert_eq!(c.reduce_i32(&ilocs, Combine::Sum).unwrap(), -8);
-    }
-
-    #[test]
     fn invalid_logical_instruction_rejected() {
         let c = cluster4();
         // Warp 16 is out of the 16-warp logical space.
@@ -2677,30 +2517,17 @@ mod tests {
         assert_eq!(values, (900..916).collect::<Vec<u32>>());
     }
 
-    /// Builds a 4-chip cluster with explicit interconnect policies.
-    fn cluster4_with(staging: Staging, drain: DrainPolicy) -> PimCluster {
-        PimCluster::with_interconnect(
-            PimConfig::small().with_crossbars(4),
-            4,
-            ParallelismMode::default(),
-            InterconnectConfig {
-                staging,
-                drain,
-                ..InterconnectConfig::default()
-            },
-        )
-        .unwrap()
-    }
-
     #[test]
     fn invalid_interconnect_rejected() {
-        let err = PimCluster::with_interconnect(
+        let err = PimCluster::with_options(
             PimConfig::small().with_crossbars(4),
             4,
-            ParallelismMode::default(),
-            InterconnectConfig {
-                link_bits: 0,
-                ..InterconnectConfig::default()
+            ClusterOptions {
+                interconnect: InterconnectConfig {
+                    link_bits: 0,
+                    latency: 8,
+                },
+                ..ClusterOptions::default()
             },
         )
         .unwrap_err();
@@ -2754,8 +2581,7 @@ mod tests {
     fn barrier_drains_only_touched_shards() {
         let c = cluster4();
         // Queue work on every shard, then cross between shards 0 and 1
-        // only: exactly two queues drain. Under the global policy all four
-        // (busy) queues drain.
+        // only: exactly two of the four busy queues drain.
         let all = ThreadRange::all(c.logical_config());
         let batch = [
             Instruction::Write {
@@ -2776,19 +2602,13 @@ mod tests {
         let t = c.stats().unwrap().traffic;
         assert_eq!(t.barriers, 1);
         assert_eq!(t.drained_queues, 2, "only shards 0 and 1 are touched");
-
-        let g = cluster4_with(Staging::Batched, DrainPolicy::Global);
-        g.execute_batch(&batch).unwrap();
-        let t = g.stats().unwrap().traffic;
-        assert_eq!(t.barriers, 1);
-        assert_eq!(t.drained_queues, 4, "global policy drains every shard");
     }
 
     #[test]
-    fn staging_and_drain_policies_are_equivalent() {
-        // The same cross-heavy batch must leave identical memory under
-        // every staging x drain combination; only the traffic model
-        // differs.
+    fn cross_heavy_batch_leaves_expected_memory() {
+        // Element work, a move whose every pair crosses chips, then work
+        // reading the moved cells: the drain rule and the batched transfer
+        // must keep instruction-stream order.
         let batch = |c: &PimCluster| {
             let all = ThreadRange::all(c.logical_config());
             let writes: Vec<GlobalWrite> = (0..16)
@@ -2825,51 +2645,10 @@ mod tests {
             let locs: Vec<GlobalLoc> = (8..16).map(|w| (w, 0, 3)).collect();
             c.gather(&locs).unwrap()
         };
-        let reference = batch(&cluster4());
-        assert_eq!(reference, (0..8).map(|w| 105 + w).collect::<Vec<u32>>());
-        for staging in [Staging::Batched, Staging::PerWord] {
-            for drain in [DrainPolicy::Touched, DrainPolicy::Global] {
-                let c = cluster4_with(staging, drain);
-                assert_eq!(
-                    batch(&c),
-                    reference,
-                    "{staging:?}/{drain:?} diverged from the default policy"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn per_word_staging_counts_one_message_per_pair() {
-        let c = cluster4_with(Staging::PerWord, DrainPolicy::Touched);
-        c.execute(&Instruction::MoveWarps {
-            src: 0,
-            dst: 1,
-            row_src: 0,
-            row_dst: 0,
-            warps: RangeMask::new(8, 15, 1).unwrap(),
-            dist: -8,
-        })
-        .unwrap();
-        let t = c.stats().unwrap().traffic;
-        assert_eq!(t.messages, 8, "per-word staging sends one message per pair");
-        assert_eq!(t.cross_words, 8);
-        // Each single-word message pays the full latency: 8 x (8 + 1).
-        assert_eq!(t.link_cycles, 8 * (8 + 1));
-    }
-
-    /// Builds a 4-chip cluster with an explicit coalescing policy.
-    fn cluster4_coalesce(coalesce: crate::Coalesce) -> PimCluster {
-        PimCluster::with_interconnect(
-            PimConfig::small().with_crossbars(4),
-            4,
-            ParallelismMode::default(),
-            InterconnectConfig {
-                coalesce,
-                ..InterconnectConfig::default()
-            },
-        )
-        .unwrap()
+        assert_eq!(
+            batch(&cluster4()),
+            (0..8).map(|w| 105 + w).collect::<Vec<u32>>()
+        );
     }
 
     /// The shifted() decomposition shape: one crossing `MoveWarps` per row
@@ -2893,7 +2672,7 @@ mod tests {
         // run — a single barrier and one burst per (src, dst) shard pair
         // for the whole run — instead of four of each.
         let batch = per_row_shift_batch(4);
-        let c = cluster4_coalesce(crate::Coalesce::On);
+        let c = cluster4();
         c.execute_batch(&batch).unwrap();
         let t = c.stats().unwrap().traffic;
         assert_eq!(t.barriers, 1, "one barrier for the whole run");
@@ -2901,22 +2680,14 @@ mod tests {
         assert_eq!(t.cross_words, 32);
         assert_eq!(t.runs_merged, 1);
         assert_eq!(t.moves_merged, 4);
-        // Per-move staging would have sent 4 moves x 2 shard pairs.
+        // Moved one at a time, they would have sent 4 moves x 2 shard pairs.
         assert_eq!(t.bursts_saved, 4 * 2 - 2);
-
-        let off = cluster4_coalesce(crate::Coalesce::Off);
-        off.execute_batch(&batch).unwrap();
-        let t = off.stats().unwrap().traffic;
-        assert_eq!(t.barriers, 4, "per-move path pays one barrier per move");
-        assert_eq!(t.messages, 4 * 2);
-        assert_eq!(t.cross_words, 32);
-        assert_eq!(t.runs_merged, 0);
-        assert_eq!(t.moves_merged, 0);
-        assert_eq!(t.bursts_saved, 0);
     }
 
     #[test]
     fn coalescing_policies_leave_identical_memory() {
+        // The merged run must leave the memory a 1-shard cluster of the same
+        // logical geometry (no crossing moves at all) leaves.
         let run = |c: &PimCluster| {
             let writes: Vec<GlobalWrite> = (8..16u32)
                 .flat_map(|w| (0..4u32).map(move |r| GlobalWrite::new(w, r, 0, w * 100 + r)))
@@ -2928,10 +2699,10 @@ mod tests {
                 .collect();
             c.gather(&locs).unwrap()
         };
-        let on = run(&cluster4_coalesce(crate::Coalesce::On));
-        let off = run(&cluster4_coalesce(crate::Coalesce::Off));
-        assert_eq!(on, off, "coalescing must not change memory contents");
-        assert_eq!(on[0], 800, "warp 8 row 0 landed on warp 0");
+        let merged = run(&cluster4());
+        let single = run(&PimCluster::new(PimConfig::small().with_crossbars(16), 1).unwrap());
+        assert_eq!(merged, single, "coalescing must not change memory contents");
+        assert_eq!(merged[0], 800, "warp 8 row 0 landed on warp 0");
     }
 
     #[test]
@@ -2939,7 +2710,8 @@ mod tests {
         // work / move / work / move: the interleaved element work breaks
         // every run, so coalescing changes nothing relative to per-move
         // execution (the move_mixed bench shape must not regress).
-        let all = ThreadRange::all(cluster4_coalesce(crate::Coalesce::On).logical_config());
+        let c = cluster4();
+        let all = ThreadRange::all(c.logical_config());
         let batch: Vec<Instruction> = (0..2)
             .flat_map(|_| {
                 [
@@ -2959,7 +2731,6 @@ mod tests {
                 ]
             })
             .collect();
-        let c = cluster4_coalesce(crate::Coalesce::On);
         c.execute_batch(&batch).unwrap();
         let t = c.stats().unwrap().traffic;
         assert_eq!(t.barriers, 2, "each move still pays its own barrier");

@@ -11,59 +11,21 @@
 //! cost(n words) = latency + ceil(n · WORD_BITS / link_bits)
 //! ```
 //!
-//! accumulated into [`TrafficStats::link_cycles`]. The per-word path is
-//! kept behind [`Staging::PerWord`] so benchmarks can A/B the two
-//! (`BENCH_cluster.json`, group `move_cross`), and the scheduler's global
-//! barrier survives behind [`DrainPolicy::Global`] for the same reason.
+//! accumulated into [`TrafficStats::link_cycles`].
 
-use crate::coalesce::Coalesce;
 use crate::ShardPlan;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Bits per transferred word (`u32` cells).
 pub const WORD_BITS: u64 = 32;
 
-/// How crossing word pairs are staged over the links.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Staging {
-    /// One message per `(source shard, destination shard)` pair carrying
-    /// every word the pair exchanges: one gathered read burst on the source
-    /// chip and one scattered write burst on the destination chip.
-    #[default]
-    Batched,
-    /// One message — and one host round trip — per word pair: the PR-1
-    /// behaviour, kept for A/B benchmarking against [`Staging::Batched`].
-    PerWord,
-}
-
-/// Which shard queues a crossing move forces to drain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DrainPolicy {
-    /// Only shards owning a crossing source or destination warp drain;
-    /// untouched shards keep streaming their queued instructions while the
-    /// transfer is in flight.
-    #[default]
-    Touched,
-    /// Every shard queue drains at every crossing move: the PR-1 global
-    /// barrier, kept for A/B benchmarking against [`DrainPolicy::Touched`].
-    Global,
-}
-
-/// Geometry and policy of the modeled chip-to-chip interconnect.
+/// Link model of the modeled chip-to-chip interconnect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InterconnectConfig {
     /// Link width: bits moved per link cycle (default 128).
     pub link_bits: u32,
     /// Fixed per-message latency in link cycles (default 8).
     pub latency: u64,
-    /// Message granularity (default [`Staging::Batched`]).
-    pub staging: Staging,
-    /// Barrier scope at crossing moves (default [`DrainPolicy::Touched`]).
-    pub drain: DrainPolicy,
-    /// Whether runs of consecutive compatible crossing moves merge into
-    /// one barrier + transfer (default [`Coalesce::On`]; see
-    /// [`MoveCoalescer`](crate::MoveCoalescer)).
-    pub coalesce: Coalesce,
 }
 
 impl Default for InterconnectConfig {
@@ -71,9 +33,6 @@ impl Default for InterconnectConfig {
         InterconnectConfig {
             link_bits: 128,
             latency: 8,
-            staging: Staging::default(),
-            drain: DrainPolicy::default(),
-            coalesce: Coalesce::default(),
         }
     }
 }
@@ -112,8 +71,8 @@ pub struct MessageGroup {
 /// Interconnect and scheduler traffic counters, aggregated cluster-wide.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrafficStats {
-    /// Bursts sent over the links (in [`Staging::PerWord`] mode every word
-    /// pair is its own message).
+    /// Bursts sent over the links: one per `(source, destination)` shard
+    /// pair of each transfer.
     pub messages: u64,
     /// Cross-chip words moved.
     pub cross_words: u64,
@@ -122,25 +81,20 @@ pub struct TrafficStats {
     pub link_cycles: u64,
     /// Crossing moves that forced shard queues to drain.
     pub barriers: u64,
-    /// Shard queues those barriers actually drained: shards inside the
-    /// barrier's scope ([`DrainPolicy::Global`] = all shards,
-    /// [`DrainPolicy::Touched`] = the crossing pairs' owners) that had
-    /// pending or in-flight work to wait for. A barrier hitting only idle
-    /// shards drains zero queues — the gap between the two policies on a
-    /// busy cluster is the scheduler's win.
+    /// Shard queues those barriers actually drained: shards owning a
+    /// crossing source or destination warp that had pending or in-flight
+    /// work to wait for. A barrier hitting only idle shards drains zero
+    /// queues; untouched shards never drain.
     pub drained_queues: u64,
     /// Coalesced runs flushed with at least two crossing moves — each one
     /// a group of per-move barriers/transfers collapsed into a single
     /// barrier + bulk transfer.
     pub runs_merged: u64,
     /// Crossing moves carried by those merged runs (every one of them
-    /// would have paid its own barrier and messages under
-    /// [`Coalesce::Off`]).
+    /// would have paid its own barrier and messages if moved alone).
     pub moves_merged: u64,
     /// Interconnect messages the merged runs avoided: per-move burst
-    /// counts summed, minus the bursts the merged transfers actually sent
-    /// (zero under [`Staging::PerWord`], where messages are per word
-    /// either way).
+    /// counts summed, minus the bursts the merged transfers actually sent.
     pub bursts_saved: u64,
 }
 
@@ -175,7 +129,7 @@ pub struct Interconnect {
 }
 
 impl Interconnect {
-    /// Builds an interconnect with the given geometry/policy.
+    /// Builds an interconnect with the given link model.
     pub fn new(cfg: InterconnectConfig) -> Self {
         Interconnect {
             cfg,
@@ -279,7 +233,6 @@ mod tests {
         let narrow = InterconnectConfig {
             link_bits: 8,
             latency: 2,
-            ..InterconnectConfig::default()
         };
         assert_eq!(narrow.burst_cycles(3), 2 + 12);
     }
@@ -335,7 +288,6 @@ mod tests {
         let ic = Interconnect::new(InterconnectConfig {
             link_bits: 32,
             latency: 4,
-            ..InterconnectConfig::default()
         });
         assert_eq!(ic.record_burst(8), 4 + 8);
         assert_eq!(ic.record_burst(1), 4 + 1);

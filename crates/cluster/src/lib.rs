@@ -35,10 +35,7 @@
 //!   move rule keeps a move's source and destination warp sets disjoint,
 //!   and each shard's job channel is FIFO — concurrent work can only live
 //!   on shards whose cells the transfer neither reads nor writes.
-//!   [`DrainPolicy::Global`] and [`Staging::PerWord`] preserve the PR-1
-//!   behaviours for A/B benchmarks (`BENCH_cluster.json`, groups
-//!   `move_cross` and `move_mixed`).
-//! * [`MoveCoalescer`]/[`Coalesce`] — cross-chip move coalescing, the last
+//! * [`MoveCoalescer`] — cross-chip move coalescing, the last
 //!   stage of the **movement → coalescer → interconnect pipeline**. The
 //!   movement layer (`pypim-core`'s `movement` module) lowers a tensor
 //!   shift onto one `MoveWarps` per row class — phase-split further when
@@ -52,11 +49,7 @@
 //!   gathered read burst and one scattered write burst per
 //!   `(source, destination)` shard pair — `O(shard pairs)` messages and
 //!   barriers for a whole-memory shift instead of `O(warps)`.
-//!   [`Coalesce::Off`] keeps the per-move path for A/B benchmarks
-//!   (`BENCH_cluster.json`, group `move_shift`) and equivalence tests;
 //!   [`TrafficStats`] reports `runs_merged`/`moves_merged`/`bursts_saved`.
-//! * [`Combine`]/[`PimCluster::reduce_f32`]/[`PimCluster::reduce_i32`] —
-//!   cross-shard combining: gather per-shard partials and fold on the host.
 //! * [`PimCluster::stats`] — per-shard telemetry (simulator profiler,
 //!   driver issued cycles, routine-cache hit/miss counters), aggregated by
 //!   [`ClusterStats`] — the observability behind the §V-B "driver is not
@@ -106,15 +99,12 @@ mod plan;
 pub(crate) mod sched;
 
 pub use cluster::{
-    fold_f32, fold_i32, ClusterOptions, ClusterStats, Combine, GatherTicket, GlobalLoc,
-    GlobalWrite, JobSet, JobTicket, PimCluster, RecoveryConfig, ShardBackends, ShardStats,
-    Submission, TaggedBatch,
+    ClusterOptions, ClusterStats, GatherTicket, GlobalLoc, GlobalWrite, JobSet, JobTicket,
+    PimCluster, RecoveryConfig, ShardBackends, ShardStats, Submission, TaggedBatch,
 };
-pub use coalesce::{Coalesce, CrossingMove, MoveCoalescer};
+pub use coalesce::{CrossingMove, MoveCoalescer};
 pub use error::{ClusterError, ErrorClass, LinkFaultKind};
-pub use interconnect::{
-    DrainPolicy, Interconnect, InterconnectConfig, MessageGroup, Staging, TrafficStats, WORD_BITS,
-};
+pub use interconnect::{Interconnect, InterconnectConfig, MessageGroup, TrafficStats, WORD_BITS};
 pub use pim_fault::{
     FaultInjector, FaultPlan, FaultProfile, FaultStats, HostFault, HostFaultPlan, HostFaultProfile,
     LinkFault, LinkWindow, WorkerFault,

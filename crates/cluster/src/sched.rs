@@ -1,9 +1,7 @@
 //! Dependency-aware shard scheduling for [`PimCluster::execute_batch`].
 //!
-//! PR 1 accumulated one instruction queue per shard and, at every crossing
-//! `MoveWarps`, flushed *all* of them behind a global barrier. The
-//! [`BatchScheduler`] replaces that barrier with per-shard dependency
-//! tracking:
+//! Instead of flushing every shard's queue at each crossing `MoveWarps`,
+//! the [`BatchScheduler`] tracks dependencies per shard:
 //!
 //! * Shard-local instructions accumulate in per-shard *pending* queues.
 //! * A crossing move *drains* only the shards it touches — the owners of

@@ -4,8 +4,8 @@ use crate::{CoreError, Result};
 use parking_lot::Mutex;
 use pim_arch::PimConfig;
 use pim_cluster::{
-    ClusterOptions, ClusterStats, GatherTicket, GlobalWrite, InterconnectConfig, JobSet,
-    PimCluster, Submission, TaggedBatch,
+    ClusterOptions, ClusterStats, GatherTicket, GlobalWrite, JobSet, PimCluster, Submission,
+    TaggedBatch,
 };
 use pim_driver::{Driver, ParallelismMode};
 use pim_func::{AnyBackend, BackendKind};
@@ -196,16 +196,9 @@ impl Device {
         Device::with_backend_mode(cfg, kind, ParallelismMode::default())
     }
 
-    /// Creates a device with explicit backend and driver parallelism mode.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `cfg` fails validation.
-    pub fn with_backend_mode(
-        cfg: PimConfig,
-        kind: BackendKind,
-        mode: ParallelismMode,
-    ) -> Result<Self> {
+    /// Single-chip construction shared by [`with_mode`](Device::with_mode)
+    /// and [`with_backend`](Device::with_backend).
+    fn with_backend_mode(cfg: PimConfig, kind: BackendKind, mode: ParallelismMode) -> Result<Self> {
         let backend = AnyBackend::new(kind, cfg.clone()).map_err(pim_driver::DriverError::from)?;
         let driver = Driver::with_mode(backend, mode);
         Ok(Device {
@@ -229,60 +222,25 @@ impl Device {
     ///
     /// Returns an error if `cfg` fails validation or `shards` is zero.
     pub fn cluster(cfg: PimConfig, shards: usize) -> Result<Self> {
-        Device::cluster_with_mode(cfg, shards, ParallelismMode::default())
+        Device::cluster_with_options(cfg, shards, ClusterOptions::default())
     }
 
-    /// Creates a cluster-backed device with an explicit driver parallelism
-    /// mode and the default chip-to-chip interconnect model.
-    ///
-    /// # Errors
-    ///
-    /// See [`cluster`](Device::cluster).
-    pub fn cluster_with_mode(cfg: PimConfig, shards: usize, mode: ParallelismMode) -> Result<Self> {
-        Device::cluster_with_interconnect(cfg, shards, mode, InterconnectConfig::default())
-    }
-
-    /// Creates a cluster-backed device with explicit driver parallelism and
-    /// chip-to-chip interconnect models. The interconnect's link
-    /// width/latency set the modeled cycle cost of cross-chip transfers;
-    /// its staging/drain policies select transfer batching and the
-    /// scheduler's barrier scope (see [`pim_cluster::InterconnectConfig`]).
-    /// The resulting traffic counters surface through
-    /// [`Device::cluster_stats`] as [`ClusterStats::traffic`].
+    /// Creates a cluster-backed device from a full [`ClusterOptions`]
+    /// bundle: driver parallelism mode, the chip-to-chip link model
+    /// ([`pim_cluster::InterconnectConfig`], whose width/latency set the
+    /// modeled cycle cost of cross-chip transfers), crash recovery
+    /// ([`pim_cluster::RecoveryConfig`]), deterministic fault injection
+    /// (`ClusterOptions::fault`) and per-shard backend selection
+    /// (`ClusterOptions::backends`, see [`pim_cluster::ShardBackends`]).
+    /// The traffic counters surface through [`Device::cluster_stats`] as
+    /// [`ClusterStats::traffic`]. The options' telemetry handle is replaced
+    /// by the device's own (the device owns the unified
+    /// modeled-clock/metrics surface).
     ///
     /// # Errors
     ///
     /// See [`cluster`](Device::cluster); additionally fails for an unusable
     /// interconnect model (e.g. a zero-width link).
-    pub fn cluster_with_interconnect(
-        cfg: PimConfig,
-        shards: usize,
-        mode: ParallelismMode,
-        icfg: InterconnectConfig,
-    ) -> Result<Self> {
-        Device::cluster_with_options(
-            cfg,
-            shards,
-            ClusterOptions {
-                mode,
-                interconnect: icfg,
-                ..ClusterOptions::default()
-            },
-        )
-    }
-
-    /// Creates a cluster-backed device from a full [`ClusterOptions`]
-    /// bundle — the constructor that exposes crash recovery
-    /// ([`pim_cluster::RecoveryConfig`]), deterministic fault injection
-    /// (`ClusterOptions::fault`) and per-shard backend selection
-    /// (`ClusterOptions::backends`, see
-    /// [`pim_cluster::ShardBackends`]). The options' telemetry handle is
-    /// replaced by the device's own (the device owns the unified
-    /// modeled-clock/metrics surface).
-    ///
-    /// # Errors
-    ///
-    /// See [`cluster_with_interconnect`](Device::cluster_with_interconnect).
     pub fn cluster_with_options(
         cfg: PimConfig,
         shards: usize,
@@ -934,5 +892,28 @@ mod tests {
         let mut cfg = PimConfig::small();
         cfg.partitions = 8;
         assert!(Device::new(cfg).is_err());
+    }
+
+    #[test]
+    fn zero_width_link_is_a_typed_error() {
+        let err = Device::cluster_with_options(
+            PimConfig::small().with_crossbars(4),
+            4,
+            ClusterOptions {
+                interconnect: pim_cluster::InterconnectConfig {
+                    link_bits: 0,
+                    latency: 8,
+                },
+                ..ClusterOptions::default()
+            },
+        )
+        .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CoreError::Cluster(pim_cluster::ClusterError::InvalidInterconnect { .. })
+            ),
+            "unexpected error: {err:?}"
+        );
     }
 }

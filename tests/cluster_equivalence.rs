@@ -6,7 +6,7 @@
 //! output.
 
 use proptest::prelude::*;
-use pypim::{Coalesce, Device, InterconnectConfig, PimConfig, Result, Tensor};
+use pypim::{Device, PimConfig, Result, Tensor};
 
 /// Single chip: 16 crossbars × 64 rows.
 fn single() -> Device {
@@ -221,26 +221,11 @@ fn small_tensors_allocate_chip_local() {
     );
 }
 
-/// A 4-shard device with the same logical geometry as [`sharded`] and an
-/// explicit move-coalescing policy.
-fn sharded_coalesce(coalesce: Coalesce) -> Device {
-    Device::cluster_with_interconnect(
-        PimConfig::small().with_crossbars(4),
-        4,
-        pypim::driver::ParallelismMode::default(),
-        InterconnectConfig {
-            coalesce,
-            ..InterconnectConfig::default()
-        },
-    )
-    .unwrap()
-}
-
 proptest! {
     #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(5))]
 
-    /// Arbitrary shift/rotate sequences leave bit-identical memory with
-    /// the move coalescer on, off, and on a single chip. Every step
+    /// Arbitrary shift/rotate sequences leave bit-identical memory on the
+    /// coalescing 4-shard device and on a single chip. Every step
     /// re-compacts the shift's defined region into a fully-initialized
     /// tensor (padding included), so the compared bytes never depend on
     /// unspecified out-of-range cells.
@@ -275,10 +260,8 @@ proptest! {
             Ok(out)
         };
         let on_single = program(&single()).unwrap();
-        let coalesced = program(&sharded_coalesce(Coalesce::On)).unwrap();
-        let per_move = program(&sharded_coalesce(Coalesce::Off)).unwrap();
-        prop_assert_eq!(&on_single, &coalesced, "Coalesce::On diverged");
-        prop_assert_eq!(&coalesced, &per_move, "On vs Off diverged");
+        let coalesced = program(&sharded()).unwrap();
+        prop_assert_eq!(&on_single, &coalesced, "coalescing cluster diverged");
     }
 }
 
@@ -338,7 +321,7 @@ proptest! {
         let (Some(a), Some(b)) = (a, b) else {
             return Ok(()); // one of the moves stayed on-chip: nothing to merge
         };
-        let mut c = MoveCoalescer::new(Coalesce::On);
+        let mut c = MoveCoalescer::new();
         c.push(a);
         if c.accepts(&b) {
             prop_assert_eq!(a_dist, b_dist, "merged across distances");
